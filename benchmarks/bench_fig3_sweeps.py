@@ -2,7 +2,7 @@
 
 Query-time parameters (θ, |Q|, k, r, L) sweep on the default Uni graph; the
 data parameters (|v.W|, |Σ|, |V|) rebuild graph + offline phase per value
-(cached for the session). Paper anchors recorded in EXPERIMENTS.md.
+(cached for the session). Paper anchors are listed in DESIGN.md §5.
 """
 from __future__ import annotations
 

@@ -2,8 +2,8 @@
 
     spark-submit jobs/run_all_experiments.py [--quick] [--out results.md]
 
-Prints each result table and (optionally) writes a markdown digest that
-EXPERIMENTS.md is based on. ``--quick`` shrinks the scalability sweeps.
+Prints each result table and (optionally) writes them as one markdown
+digest. ``--quick`` shrinks the scalability sweeps.
 """
 from __future__ import annotations
 

@@ -26,7 +26,7 @@ def main() -> None:
     ap.add_argument("--L", type=int, default=5)
     ap.add_argument("--qseed", type=int, default=0)
     ap.add_argument("--distributed", action="store_true",
-                    help="use the Catalyst-pruning + mapInPandas dataflow path")
+                    help="use the mapInPandas dataflow path")
     args = ap.parse_args()
     spark = get_spark("run_topl")
     prep = prepare(spark, kind=args.kind, n=args.n, dist=args.dist)

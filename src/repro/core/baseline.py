@@ -14,12 +14,12 @@ same ``sample`` mechanism for our larger stand-in graphs.
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List, Optional, Set
 
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.topl import Community, Query
+from repro.core.topl import Community, Query, rank, refine
 from repro.graph.local import LocalGraph
 from repro.graph.truss import edge_trussness, vertex_trussness
 from repro.graph.types import SocialGraph
@@ -53,18 +53,9 @@ def atindex_query(
         if vtruss.get(v, 2) >= query.k
         and (local.keywords.get(v, frozenset()) & query.keywords)
     ]
-    if sample is not None and sample < 1.0:
+    if sample is not None and sample < 1.0 and candidates:
         rng = random.Random(seed)
         k = max(1, int(len(candidates) * sample))
-        candidates = rng.sample(candidates, k)
-    best: Dict[FrozenSet[int], Community] = {}
-    for v in candidates:
-        g = local.seed_community(v, query.r, query.k, set(query.keywords))
-        if g is None or g in best:
-            continue
-        cpp = local.influence(g, query.theta)
-        best[g] = Community(
-            center=v, vertices=g, sigma=float(sum(cpp.values())), cpp=cpp
-        )
-    ranked = sorted(best.values(), key=lambda c: (-c.sigma, c.center))
-    return ranked[: query.L]
+        candidates = sorted(rng.sample(candidates, k))
+    seen: Set[FrozenSet[int]] = set()
+    return rank((refine(local, v, query, seen) for v in candidates), query.L)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.index import IndexNode
@@ -37,7 +37,6 @@ class DiversifyStats:
     gain_evaluations: int = 0
     candidates: int = 0
     pruned_evaluations: int = 0
-    extra: dict = field(default_factory=dict)
 
 
 def greedy_wp(

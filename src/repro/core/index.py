@@ -7,9 +7,7 @@ average of their (normalised) support and score bounds, then recursively
 split into ``fanout`` contiguous partitions.
 
 The index is built over the *collected* aggregates (|V|·r_max rows — a few
-hundred KB at our scales), matching the paper's in-memory index; the same
-aggregates also exist as a Spark DataFrame for the dataflow online path
-(``core/topl_distributed.py``).
+hundred KB at our scales), matching the paper's in-memory index.
 """
 from __future__ import annotations
 
@@ -38,6 +36,11 @@ class VertexEntry:
     #: per radius r, per threshold z: σ_z(hop(v, r))
     sigma: List[List[float]]
 
+    @property
+    def size(self) -> int:
+        """Candidate centers covered: a leaf entry is one (cf. ``IndexNode``)."""
+        return 1
+
 
 @dataclass
 class IndexNode:
@@ -61,26 +64,21 @@ class IndexNode:
         return 1 if self.is_leaf else 1 + max(c.height() for c in self.children)
 
 
-def _aggregate(
-    bv_selfs: Sequence[int],
-    bvs: Sequence[Sequence[int]],
-    sups: Sequence[Sequence[int]],
-    sigmas: Sequence[Sequence[Sequence[float]]],
-    r_max: int,
-    m: int,
-) -> tuple:
+def _aggregate(items: Sequence, r_max: int, m: int) -> dict:
+    """OR / max aggregates over leaf entries or child nodes (both carry
+    ``bv_self``, ``bv``, ``ub_sup`` and ``sigma``), as ``IndexNode`` fields."""
     bv_self = 0
     bv = [0] * r_max
     sup = [NO_EDGE_SUPPORT] * r_max
     sig = [[0.0] * m for _ in range(r_max)]
-    for bs, b, s, g in zip(bv_selfs, bvs, sups, sigmas):
-        bv_self |= int(bs)
+    for item in items:
+        bv_self |= int(item.bv_self)
         for ri in range(r_max):
-            bv[ri] |= int(b[ri])
-            sup[ri] = max(sup[ri], int(s[ri]))
+            bv[ri] |= int(item.bv[ri])
+            sup[ri] = max(sup[ri], int(item.ub_sup[ri]))
             for z in range(m):
-                sig[ri][z] = max(sig[ri][z], float(g[ri][z]))
-    return bv_self, bv, sup, sig
+                sig[ri][z] = max(sig[ri][z], float(item.sigma[ri][z]))
+    return dict(bv_self=bv_self, bv=bv, ub_sup=sup, sigma=sig)
 
 
 def build_index(precomp: Precomputed, *, fanout: int = DEFAULT_FANOUT) -> IndexNode:
@@ -121,46 +119,17 @@ def build_index(precomp: Precomputed, *, fanout: int = DEFAULT_FANOUT) -> IndexN
 
     def _build(chunk: List[VertexEntry]) -> IndexNode:
         if len(chunk) <= fanout:
-            bv_self, bv, sup, sig = _aggregate(
-                [e.bv_self for e in chunk],
-                [e.bv for e in chunk],
-                [e.ub_sup for e in chunk],
-                [e.sigma for e in chunk],
-                r_max,
-                m,
-            )
             return IndexNode(
-                bv_self=bv_self, bv=bv, ub_sup=sup, sigma=sig,
-                size=len(chunk), entries=chunk,
+                **_aggregate(chunk, r_max, m), size=len(chunk), entries=chunk
             )
         splits = np.array_split(np.arange(len(chunk)), fanout)
         children = [
             _build([chunk[i] for i in part]) for part in splits if len(part) > 0
         ]
-        bv_self, bv, sup, sig = _aggregate(
-            [c.bv_self for c in children],
-            [c.bv for c in children],
-            [c.ub_sup for c in children],
-            [c.sigma for c in children],
-            r_max,
-            m,
-        )
         return IndexNode(
-            bv_self=bv_self,
-            bv=bv,
-            ub_sup=sup,
-            sigma=sig,
+            **_aggregate(children, r_max, m),
             size=sum(c.size for c in children),
             children=children,
         )
 
-    if not entries:
-        return IndexNode(
-            bv_self=0,
-            bv=[0] * r_max,
-            ub_sup=[NO_EDGE_SUPPORT] * r_max,
-            sigma=[[0.0] * m for _ in range(r_max)],
-            size=0,
-            entries=[],
-        )
     return _build(entries)

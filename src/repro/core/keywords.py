@@ -42,10 +42,3 @@ def bv_of(words: Iterable[str]) -> int:
         bv |= 1 << keyword_bit(w)
     return bv & _MASK
 
-
-def bv_overlaps(bv_a: int, bv_b: int) -> bool:
-    """True iff the two bit vectors share at least one set bit.
-
-    ``not bv_overlaps(N.BV_r, Q.BV)`` is exactly the Lemma 5 prune test.
-    """
-    return (bv_a & bv_b) != 0

@@ -22,11 +22,11 @@ No per-vertex traversals anywhere (DESIGN.md §3).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession, functions as F
+from pyspark.sql import SparkSession, functions as F
 
 from repro.graph.bfs import multi_source_hops
 from repro.graph.triangles import edge_support
@@ -45,7 +45,7 @@ DEFAULT_R_MAX = 3
 class Precomputed:
     """Output of the offline phase: per-(vertex, r) aggregates.
 
-    ``pdf`` columns: ``vertex, r, bv_r, ub_sup_r, sigma_0 … sigma_{m-1}``.
+    ``pdf`` columns: ``vertex, r, bv_self, bv_r, ub_sup_r, sigma_0 … sigma_{m-1}``.
     ``support_pdf`` is the global canonical edge-support table (consumed by
     the ``LocalGraph`` snapshot and by Lemma 2 at refinement time).
     """
@@ -54,16 +54,6 @@ class Precomputed:
     support_pdf: pd.DataFrame
     thetas: Tuple[float, ...]
     r_max: int
-    _spark_df: DataFrame = field(default=None, repr=False)
-
-    def sigma_cols(self) -> List[str]:
-        return [f"sigma_{z}" for z in range(len(self.thetas))]
-
-    def spark_df(self, spark: SparkSession) -> DataFrame:
-        """The aggregates as a Spark DataFrame (for the dataflow online path)."""
-        if self._spark_df is None:
-            object.__setattr__(self, "_spark_df", spark.createDataFrame(self.pdf))
-        return self._spark_df
 
 
 def offline_precompute(

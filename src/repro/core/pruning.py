@@ -12,7 +12,7 @@ a 4-truss whose edges have support 2). We implement the safe form
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -31,20 +31,26 @@ class PruningStats:
     heap_terminated: int = 0
     refined: int = 0
     visited_nodes: int = 0
-    extra: dict = field(default_factory=dict)
 
     @property
     def total_pruned(self) -> int:
         return self.keyword + self.support + self.score + self.heap_terminated
 
 
-def keyword_prune(bv_r: int, query_bv: int) -> bool:
-    """Lemmas 1/5: no vertex below this entry holds any query keyword."""
+def keyword_prune(bv_r, query_bv: int):
+    """Lemmas 1/5: no vertex below this entry holds any query keyword.
+
+    ``bv_r`` may be an int or a pandas Series of bit vectors (then the
+    result is a boolean Series).
+    """
     return (bv_r & query_bv) == 0
 
 
-def support_prune(ub_sup_r: int, k: int) -> bool:
-    """Lemmas 2/6 (safe form): no edge can reach support k-2."""
+def support_prune(ub_sup_r, k: int):
+    """Lemmas 2/6 (safe form): no edge can reach support k-2.
+
+    Like :func:`keyword_prune`, also applies elementwise to a Series.
+    """
     return ub_sup_r < k - 2
 
 

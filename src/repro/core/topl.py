@@ -8,6 +8,10 @@ maximal seed community extraction (Def. 2 fixpoint) plus the exact
 
 The traversal terminates early as soon as the popped key cannot beat the
 current top-L floor σ_L (heap order ⇒ nothing later can either).
+
+:func:`refine` and :func:`rank` are the one refinement kernel and the one
+ranking rule of every online path: this traversal, the brute-force
+reference, the ATindex baseline and the dataflow variant.
 """
 from __future__ import annotations
 
@@ -15,7 +19,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
 
 from repro.core.index import IndexNode
 from repro.core.keywords import bv_of
@@ -27,6 +31,7 @@ from repro.core.pruning import (
     support_prune,
 )
 from repro.graph.local import LocalGraph
+from repro.influence.scores import sigma_of
 
 
 @dataclass(frozen=True)
@@ -49,6 +54,40 @@ class Community:
     sigma: float
     #: cpp(g, v) over g^Inf — carried so DTopL-ICDE can reuse it (Eq. 6)
     cpp: Dict[int, float] = field(default_factory=dict, repr=False)
+
+
+def refine(
+    local: LocalGraph, center: int, query: Query, seen: Set[FrozenSet[int]]
+) -> Optional[Community]:
+    """Refine one candidate center: its maximal seed community, scored.
+
+    Returns None if ``center`` hosts no seed community (Def. 2) or if that
+    community's vertex set is already in ``seen``; otherwise adds it to
+    ``seen`` and returns it with its influenced community (Eq. 5). The
+    ``seen`` check runs before the influence computation because many
+    centers of one community extract the same vertex set.
+    """
+    g = local.seed_community(center, query.r, query.k, query.keywords)
+    if g is None or g in seen:
+        return None
+    seen.add(g)
+    cpp = local.influence(g, query.theta)
+    return Community(center=center, vertices=g, sigma=sigma_of(cpp), cpp=cpp)
+
+
+def rank(communities: Iterable[Optional[Community]], L: int) -> List[Community]:
+    """The top ``L`` communities by (−σ, center), one per vertex set.
+
+    ``None`` entries are skipped; of several communities with the same
+    vertex set, the one with the smallest center is kept.
+    """
+    best: Dict[FrozenSet[int], Community] = {}
+    for c in communities:
+        if c is not None and (
+            c.vertices not in best or c.center < best[c.vertices].center
+        ):
+            best[c.vertices] = c
+    return sorted(best.values(), key=lambda c: (-c.sigma, c.center))[:L]
 
 
 def topl_icde(
@@ -86,6 +125,21 @@ def topl_icde(
     def have_l() -> bool:
         return len(results) >= query.L
 
+    def pruned_by(item) -> Optional[str]:
+        """The ``PruningStats`` field charged for discarding ``item`` (a leaf
+        entry or a child node), or None if it survives."""
+        # Lemma 1/5 twice: on the hop subgraph's aggregated bit vector and
+        # on the center's own (the center must be in g, Def. 2).
+        if use_keyword and (
+            keyword_prune(item.bv[ri], qbv) or keyword_prune(item.bv_self, qbv)
+        ):
+            return "keyword"
+        if use_support and support_prune(item.ub_sup[ri], query.k):
+            return "support"
+        if use_score and score_prune(item.sigma[ri][z], sigma_l(), have_l()):
+            return "score"
+        return None
+
     heap: List[tuple] = [(-index.sigma[ri][z], next(tiebreak), index)]
     while heap:
         neg_key, _, node = heapq.heappop(heap)
@@ -96,49 +150,21 @@ def topl_icde(
             # `key`, so the whole frontier is pruned at once.
             stats.heap_terminated += sum(n.size for _, _, n in heap) + node.size
             break
-        if node.is_leaf:
-            for entry in node.entries:
-                # Lemma 1 twice: on the hop subgraph's aggregated bit vector
-                # and on the center's own (the center must be in g, Def. 2).
-                if use_keyword and (
-                    keyword_prune(entry.bv[ri], qbv)
-                    or keyword_prune(entry.bv_self, qbv)
-                ):
-                    stats.keyword += 1
-                    continue
-                if use_support and support_prune(entry.ub_sup[ri], query.k):
-                    stats.support += 1
-                    continue
-                if use_score and score_prune(entry.sigma[ri][z], sigma_l(), have_l()):
-                    stats.score += 1
-                    continue
+        for item in node.entries if node.is_leaf else node.children:
+            reason = pruned_by(item)
+            if reason is not None:
+                setattr(stats, reason, getattr(stats, reason) + item.size)
+            elif not node.is_leaf:
+                heapq.heappush(heap, (-item.sigma[ri][z], next(tiebreak), item))
+            else:
                 stats.refined += 1
-                g = local.seed_community(entry.vertex, query.r, query.k, set(query.keywords))
-                if g is None or g in seen:
+                comm = refine(local, item.vertex, query, seen)
+                if comm is None:
                     continue
-                seen.add(g)
-                cpp = local.influence(g, query.theta)
-                sigma = float(sum(cpp.values()))
-                comm = Community(center=entry.vertex, vertices=g, sigma=sigma, cpp=cpp)
                 if len(results) < query.L:
-                    heapq.heappush(results, (sigma, next(tiebreak), comm))
-                elif sigma > results[0][0]:
-                    heapq.heapreplace(results, (sigma, next(tiebreak), comm))
-        else:
-            for child in node.children:
-                if use_keyword and (
-                    keyword_prune(child.bv[ri], qbv)
-                    or keyword_prune(child.bv_self, qbv)
-                ):
-                    stats.keyword += child.size
-                    continue
-                if use_support and support_prune(child.ub_sup[ri], query.k):
-                    stats.support += child.size
-                    continue
-                if use_score and score_prune(child.sigma[ri][z], sigma_l(), have_l()):
-                    stats.score += child.size
-                    continue
-                heapq.heappush(heap, (-child.sigma[ri][z], next(tiebreak), child))
+                    heapq.heappush(results, (comm.sigma, next(tiebreak), comm))
+                elif comm.sigma > results[0][0]:
+                    heapq.heapreplace(results, (comm.sigma, next(tiebreak), comm))
 
     return [c for _, _, c in sorted(results, key=lambda t: (-t[0], t[1]))]
 
@@ -148,15 +174,9 @@ def brute_force_topl(
 ) -> List[Community]:
     """Reference answer: refine every vertex, no index, no pruning.
 
-    Used by tests to prove the pruned traversal exact, and by the ATindex
-    baseline as its (trussness-filtered) inner loop.
+    Used by tests to prove the pruned traversal exact.
     """
-    best: Dict[FrozenSet[int], Community] = {}
-    for v in sorted(local.vertices()):
-        g = local.seed_community(v, query.r, query.k, set(query.keywords))
-        if g is None or g in best:
-            continue
-        cpp = local.influence(g, query.theta)
-        best[g] = Community(center=v, vertices=g, sigma=float(sum(cpp.values())), cpp=cpp)
-    ranked = sorted(best.values(), key=lambda c: (-c.sigma, c.center))
-    return ranked[: query.L]
+    seen: Set[FrozenSet[int]] = set()
+    return rank(
+        (refine(local, v, query, seen) for v in sorted(local.vertices())), query.L
+    )

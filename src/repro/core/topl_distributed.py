@@ -1,28 +1,29 @@
 """Dataflow rendering of the online TopL-ICDE phase.
 
-The index-level prunes of Algorithm 3 (Lemmas 5–7) are *relational filters*
-over the precomputed aggregates, so here they run as Catalyst predicates on
-the precompute DataFrame; surviving candidate centers are refined in
-parallel batches via ``mapInPandas`` over a broadcast graph snapshot, in
-descending score-bound order, with the paper's σ_L early stop applied
-*between* batches. Tests assert this returns exactly the same communities as
-the driver-side Algorithm 3 (`core/topl.py`).
+The index-level prunes of Algorithm 3 (Lemmas 5/6) are the ``pruning.py``
+predicates applied to the collected precompute aggregates; surviving
+candidate centers are refined in parallel batches via ``mapInPandas`` over a
+broadcast graph snapshot, in descending score-bound order, with the paper's
+σ_L early stop (Lemma 7) applied *between* batches. Each worker runs the
+shared :func:`~repro.core.topl.refine` / :func:`~repro.core.topl.rank`
+kernel. Tests assert this returns exactly the same communities as the
+driver-side Algorithm 3 (`core/topl.py`).
 
 This is the documented physical-operator substitution (DESIGN.md §3): the
-pruning lives in the Catalyst plan, the refinement is a DataFrame →
-DataFrame transformation — no JVM operator needed.
+refinement is a DataFrame → DataFrame transformation — no JVM operator
+needed.
 """
 from __future__ import annotations
 
-import math
-from typing import Iterator, List, Sequence
+from typing import Iterator, List
 
 import pandas as pd
-from pyspark.sql import SparkSession, functions as F
+from pyspark.sql import SparkSession
 
 from repro.core.keywords import bv_of
 from repro.core.precompute import Precomputed, z_index
-from repro.core.topl import Community, Query
+from repro.core.pruning import keyword_prune, support_prune
+from repro.core.topl import Community, Query, rank, refine
 from repro.graph.local import LocalGraph
 
 # members as a comma-joined string: Arrow cannot ship list columns out of
@@ -31,24 +32,22 @@ _REFINE_SCHEMA = "center long, sigma double, members string"
 
 
 def _refine_factory(local_bc, query: Query):
-    """mapInPandas worker: refine a batch of candidate centers."""
+    """mapInPandas worker: the top-L communities of a batch of centers."""
 
-    def refine(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+    def refine_batches(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         local: LocalGraph = local_bc.value
-        kw = set(query.keywords)
         for pdf in batches:
-            out = {"center": [], "sigma": [], "members": []}
-            for center in pdf["vertex"]:
-                g = local.seed_community(int(center), query.r, query.k, kw)
-                if g is None:
-                    continue
-                cpp = local.influence(g, query.theta)
-                out["center"].append(int(center))
-                out["sigma"].append(float(sum(cpp.values())))
-                out["members"].append(",".join(str(v) for v in sorted(g)))
-            yield pd.DataFrame(out)
+            seen = set()
+            top = rank((refine(local, int(v), query, seen) for v in pdf["vertex"]), query.L)
+            yield pd.DataFrame(
+                {
+                    "center": [c.center for c in top],
+                    "sigma": [c.sigma for c in top],
+                    "members": [",".join(map(str, sorted(c.vertices))) for c in top],
+                }
+            )
 
-    return refine
+    return refine_batches
 
 
 def topl_icde_spark(
@@ -59,53 +58,45 @@ def topl_icde_spark(
     *,
     batch_size: int = 256,
 ) -> List[Community]:
-    """TopL-ICDE with Catalyst pruning + batched parallel refinement."""
-    z = z_index(precomp.thetas, query.theta)
+    """TopL-ICDE with predicate pruning + batched parallel refinement."""
     qbv = bv_of(query.keywords)
-    sig = f"sigma_{z}"
-
-    survivors = (
-        precomp.spark_df(spark)
-        .where(F.col("r") == query.r)
-        # Lemma 5 — keyword pruning as bitwise Catalyst predicates, on the
-        # hop subgraph and on the center itself (Def. 2: v_q ∈ g)
-        .where(F.col("bv_r").bitwiseAND(F.lit(qbv)) != 0)
-        .where(F.col("bv_self").bitwiseAND(F.lit(qbv)) != 0)
-        # Lemma 6 (safe form) — support pruning
-        .where(F.col("ub_sup_r") >= query.k - 2)
-        .select("vertex", F.col(sig).alias("sigma_ub"))
-        .orderBy(F.desc("sigma_ub"), "vertex")
+    pdf = precomp.pdf[precomp.pdf["r"] == query.r]
+    keep = ~(
+        # Lemma 5 on the hop subgraph and on the center itself (Def. 2: v_q ∈ g)
+        keyword_prune(pdf["bv_r"], qbv)
+        | keyword_prune(pdf["bv_self"], qbv)
+        # Lemma 6 (safe form)
+        | support_prune(pdf["ub_sup_r"], query.k)
     )
-    ranked = survivors.toPandas()
+    sig = f"sigma_{z_index(precomp.thetas, query.theta)}"
+    ranked = pdf.loc[keep, ["vertex", sig]].sort_values(
+        [sig, "vertex"], ascending=[False, True]
+    )
 
     local_bc = spark.sparkContext.broadcast(local)
     try:
         results: List[Community] = []
-        seen = set()
-        sigma_l = -math.inf
         for start in range(0, len(ranked), batch_size):
             batch = ranked.iloc[start : start + batch_size]
             # Lemma 7 between batches: bounds are sorted descending, so once
             # the best remaining bound cannot beat σ_L, everything left is
             # pruned.
-            if len(results) >= query.L and batch["sigma_ub"].iloc[0] <= sigma_l:
+            if len(results) >= query.L and batch[sig].iloc[0] <= results[-1].sigma:
                 break
-            bdf = spark.createDataFrame(batch[["vertex"]])
-            refined = bdf.mapInPandas(
-                _refine_factory(local_bc, query), schema=_REFINE_SCHEMA
-            ).collect()
-            for row in sorted(refined, key=lambda r: (-r.sigma, r.center)):
-                g = frozenset(int(x) for x in row.members.split(","))
-                if g in seen:
-                    continue
-                seen.add(g)
-                results.append(
-                    Community(center=row.center, vertices=g, sigma=row.sigma)
+            refined = (
+                spark.createDataFrame(batch[["vertex"]])
+                .mapInPandas(_refine_factory(local_bc, query), schema=_REFINE_SCHEMA)
+                .collect()
+            )
+            found = (
+                Community(
+                    center=row.center,
+                    vertices=frozenset(int(x) for x in row.members.split(",")),
+                    sigma=row.sigma,
                 )
-            results.sort(key=lambda c: (-c.sigma, c.center))
-            results = results[: query.L]
-            if len(results) >= query.L:
-                sigma_l = results[-1].sigma
+                for row in refined
+            )
+            results = rank([*results, *found], query.L)
         return results
     finally:
         local_bc.unpersist()

@@ -22,6 +22,7 @@ import hashlib
 import os
 import pickle
 import time
+import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -37,10 +38,9 @@ from repro.graph.types import SocialGraph
 
 #: stand-in sizes for the two "real" graphs (paper: 317K / 335K vertices).
 #: Defaults are the *quick profile* sized for a ~20-minute benchmark
-#: session; the authoritative EXPERIMENTS.md numbers were produced with the
-#: full profile (REPRO_FIG2_N=10000 REPRO_STANDIN_N=5000), where the
-#: influential-score pruning has discriminative power — its effectiveness
-#: grows with |V| (see EXPERIMENTS.md).
+#: session; the full profile (REPRO_FIG2_N=10000 REPRO_STANDIN_N=5000) is
+#: where the influential-score pruning has discriminative power — its
+#: effectiveness grows with |V| (DESIGN.md §4).
 DBLP_LIKE_N = int(os.environ.get("REPRO_STANDIN_N", "2000"))
 AMAZON_LIKE_N = int(os.environ.get("REPRO_STANDIN_N", "2000"))
 #: Fig. 2/4/6(a) synthetic graph size (paper default: 50K).
@@ -85,6 +85,10 @@ def _cache_path(key: Tuple) -> str:
     return os.path.join(CACHE_DIR, f"prep_{digest}.pkl")
 
 
+#: What reading and unpickling a damaged or foreign cache file can raise.
+_LOAD_ERRORS = (OSError, EOFError, pickle.UnpicklingError, AttributeError, ImportError, ValueError)
+
+
 def _disk_load(key: Tuple):
     path = _cache_path(key)
     if not os.path.exists(path):
@@ -93,19 +97,21 @@ def _disk_load(key: Tuple):
         with open(path, "rb") as f:
             blob = pickle.load(f)
         return blob if blob.get("key") == key else None
-    except Exception:
+    except _LOAD_ERRORS as e:
+        warnings.warn(f"prepared cache {path} unreadable, rebuilding: {e!r}")
         return None
 
 
 def _disk_store(key: Tuple, blob: dict) -> None:
+    path = _cache_path(key)
     try:
         os.makedirs(CACHE_DIR, exist_ok=True)
-        tmp = _cache_path(key) + ".tmp"
-        with open(tmp, "wb") as f:
+        with open(path + ".tmp", "wb") as f:
             pickle.dump({"key": key, **blob}, f)
-        os.replace(tmp, _cache_path(key))
-    except Exception:
-        pass  # caching is best-effort; never fail the experiment
+        os.replace(path + ".tmp", path)
+    except (OSError, pickle.PicklingError) as e:
+        # caching is best-effort: the experiment goes on without it
+        warnings.warn(f"prepared cache {path} not written: {e!r}")
 
 
 def prepare(
@@ -232,8 +238,7 @@ def figure2_datasets(spark: SparkSession, *, with_atindex: bool = False):
 
 
 def table2_stats(spark: SparkSession):
-    """Table II for the stand-ins: |V|, |E| (paper numbers recorded in
-    EXPERIMENTS.md beside these)."""
+    """Table II for the stand-ins: |V|, |E| (the paper's are in DESIGN.md §4)."""
     rows = []
     for label, prep in figure2_datasets(spark).items():
         rows.append(

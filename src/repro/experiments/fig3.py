@@ -4,7 +4,7 @@ Panels (a)–(e) vary query-time parameters (θ, |Q|, k, r, L) on the three
 synthetic graphs Uni/Gau/Zipf; panels (f)–(h) vary data parameters
 (|v.W|, |Σ|, |V|), which require regenerating graph + offline phase — those
 run on Uni only to keep the offline budget single-machine (DESIGN.md §4).
-Paper's quoted ranges are recorded in EXPERIMENTS.md next to ours.
+The paper's quoted ranges are listed in DESIGN.md §5.
 """
 from __future__ import annotations
 

@@ -2,8 +2,8 @@
 
 The only deviation is scale: the paper defaults to |V(G)| = 50K and sweeps
 10K→1M on a bare-metal i9; this single-container reproduction defaults to
-|V(G)| = 2K and sweeps 500→20K (DESIGN.md §4). All claims compared in
-EXPERIMENTS.md are relative (orderings / factors / trend shapes).
+|V(G)| = 2K and sweeps 500→20K (DESIGN.md §4). All claims compared are
+relative (orderings / factors / trend shapes).
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ SWEEP_L = (2, 3, 5, 8, 10)
 SWEEP_W = (1, 2, 3, 4, 5)
 SWEEP_SIGMA = (10, 20, 50, 80)
 # paper: 10K..1M. Quick-profile default tops at 5K; the full profile
-# (REPRO_SWEEP_NV_MAX=10000, used for EXPERIMENTS.md) adds 10K.
+# (REPRO_SWEEP_NV_MAX=10000) adds 10K.
 SWEEP_NV = tuple(
     n
     for n in (500, 1_000, 2_000, 5_000, 10_000)

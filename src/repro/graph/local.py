@@ -14,7 +14,6 @@ graphs that fit comfortably on the driver (≤ a few hundred thousand edges).
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
@@ -72,15 +71,6 @@ class LocalGraph:
                 for u, v, s in zip(support["u"], support["v"], support["support"])
             }
         return cls(adj=adj, out=out, keywords=kw, bv=bv, support=sup)
-
-    @classmethod
-    def from_spark(cls, graph, support_df=None) -> "LocalGraph":
-        """Collect a SocialGraph (and optional support DF) to the driver."""
-        return cls.from_pandas(
-            graph.vertices.toPandas(),
-            graph.edges.toPandas(),
-            support_df.toPandas() if support_df is not None else None,
-        )
 
     # ----------------------------------------------------------------- basics
     def vertices(self) -> List[int]:
@@ -279,13 +269,6 @@ class LocalGraph:
         return float(sum(self.influence(seed, theta).values()))
 
     # ------------------------------------------------------------- utilities
-    def eccentricity_within(self, vset: Set[int], center: int) -> int:
-        """Max hop distance from center inside the induced subgraph."""
-        sub = self.khop_within(vset, center)
-        if set(sub) != vset:
-            return math.inf  # type: ignore[return-value]
-        return max(sub.values(), default=0)
-
     def khop_within(self, vset: Set[int], center: int) -> Dict[int, int]:
         """BFS from center restricted to the induced subgraph on vset."""
         dist = {center: 0}

@@ -9,12 +9,11 @@ against brute-force path enumeration).
 
 One fixpoint loop over a ``(src, v, val)`` state DataFrame serves both:
 
-* all-pairs ``upp(u, v) ≥ θ`` (sources = every vertex) — consumed by the
-  offline precompute, which joins it with r-hop membership to get the
-  community-to-user probabilities ``cpp(hop(v_i, r), v)`` for every center
-  and radius at once;
-* per-seed-set ``cpp(g, v)`` (sources = community ids) — the distributed
-  twin of ``LocalGraph.influence`` used in tests and bulk scoring.
+* per-seed-set ``cpp(g, v)`` (sources = community ids, ``cpp_from_seeds``)
+  — consumed by the offline precompute, which seeds it per radius with every
+  center's r-hop members to get ``cpp(hop(v_i, r), v)`` for all centers at
+  once; it is also the distributed twin of ``LocalGraph.influence``;
+* all-pairs ``upp(u, v) ≥ θ`` (sources = every vertex, ``pairwise_upp``).
 """
 from __future__ import annotations
 

@@ -54,3 +54,13 @@ def test_sampling_returns_subset_quality(prepared_small, vtruss):
     if full and sampled:
         assert sampled[0].sigma <= full[0].sigma + 1e-9
     assert len(sampled) <= len(full)
+
+
+@pytest.mark.parametrize(
+    "q",
+    [q_default(keywords=frozenset({"nope"})), q_default(k=30)],
+    ids=["no-keyword", "k-above-trussness"],
+)
+def test_sampling_without_candidates_is_empty(prepared_small, vtruss, q):
+    """No center survives the trussness + keyword filter: nothing to sample."""
+    assert atindex_query(prepared_small.local, vtruss, q, sample=0.3, seed=1) == []

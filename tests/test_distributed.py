@@ -1,4 +1,4 @@
-"""The dataflow online path (Catalyst pruning + mapInPandas refinement)
+"""The dataflow online path (predicate pruning + mapInPandas refinement)
 must return exactly the same communities as driver-side Algorithm 3."""
 from __future__ import annotations
 

@@ -117,3 +117,17 @@ def test_fig6_dtopl_methods(spark):
         by_ds.setdefault(r["dataset"], {})[r["method"]] = r["diversity"]
     for ds, d in by_ds.items():
         assert d["wp"] == pytest.approx(d["wop"], abs=1e-6)
+
+
+def test_unreadable_disk_cache_warns_and_rebuilds(spark, monkeypatch, tmp_path):
+    """A damaged cache file is reported, never reused, and rebuilt."""
+    monkeypatch.setattr(D, "CACHE_DIR", str(tmp_path))
+    kw = dict(kind="nws", n=40, dist="uniform", seed=11)
+    key = ("nws", 40, "uniform", P.SIGMA_DOMAIN, P.W_PER_VERTEX, 11, P.R_MAX, P.THETAS)
+    with open(D._cache_path(key), "wb") as f:
+        f.write(b"\x04not a pickle")
+    with pytest.warns(UserWarning, match="unreadable"):
+        prep = D.prepare(spark, **kw)
+    assert prep.key == key
+    assert "from_disk_cache" not in prep.timings
+    assert D._disk_load(key)["key"] == key  # the rebuild replaced the file

@@ -1,11 +1,13 @@
-"""Unit tests for the keyword bit vectors (core/keywords.py)."""
+"""Unit tests for the keyword bit vectors (core/keywords.py) and the
+keyword prune (Lemma 1) that consumes them."""
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.keywords import B, bv_of, bv_overlaps, keyword_bit
+from repro.core.keywords import B, bv_of, keyword_bit
+from repro.core.pruning import keyword_prune
 
 WORDS = [f"kw{i}" for i in range(100)] + ["movies", "books", "sports", "музыка", "旅行"]
 
@@ -48,14 +50,14 @@ def test_no_false_negative_subset():
     """A set sharing a real keyword always overlaps in bit-vector space."""
     q = ["kw3", "kw14"]
     for w in q:
-        assert bv_overlaps(bv_of([w, "kw99"]), bv_of(q))
+        assert not keyword_prune(bv_of([w, "kw99"]), bv_of(q))
 
 
 def test_disjoint_can_only_collide_forward():
-    """Overlap of disjoint sets is possible (collision) but absence of
-    overlap guarantees disjoint — the direction pruning relies on."""
+    """Overlap of disjoint sets is possible (collision) but a prune (no
+    overlap) guarantees disjoint — the direction pruning relies on."""
     a, b = ["kw0"], ["kw1"]
-    if not bv_overlaps(bv_of(a), bv_of(b)):
+    if keyword_prune(bv_of(a), bv_of(b)):
         assert set(a).isdisjoint(b)
 
 
@@ -67,7 +69,7 @@ def test_disjoint_can_only_collide_forward():
 def test_property_no_false_negatives(vertex_words, query_words):
     """If v.W ∩ Q ≠ ∅ then the bit vectors must overlap (Lemma 1 safety)."""
     if set(vertex_words) & set(query_words):
-        assert bv_overlaps(bv_of(vertex_words), bv_of(query_words))
+        assert not keyword_prune(bv_of(vertex_words), bv_of(query_words))
 
 
 @settings(max_examples=50, deadline=None)

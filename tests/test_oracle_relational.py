@@ -79,7 +79,7 @@ def test_precompute_aggregate_join(spark, prepared_small):
     """The σ_1-per-radius maxima of the collected aggregates match SQL over
     the same table — guards the pandas post-processing in precompute.py."""
     pre = prepared_small.pre
-    sdf = pre.spark_df(spark)
+    sdf = spark.createDataFrame(pre.pdf)
     got = sdf.groupBy("r").agg(
         F.round(F.max("sigma_0"), 6).alias("max_sigma"),
         F.count("*").alias("n"),

@@ -4,7 +4,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.pruning import PruningStats
-from repro.core.topl import Community, Query, brute_force_topl, topl_icde
+from repro.core.topl import Community, Query, brute_force_topl, rank, topl_icde
 
 
 def run(prep, q, **kw):
@@ -122,3 +122,14 @@ class TestBehaviour:
         assert [round(c.sigma, 6) for c in small] == [
             round(c.sigma, 6) for c in large[:3]
         ]
+
+
+def test_rank_keeps_smallest_center_per_vertex_set():
+    """``rank`` merges refinement results from several workers: one entry
+    per vertex set (its smallest center), ordered by (−σ, center)."""
+    late = Community(center=5, vertices=frozenset({1, 5}), sigma=2.0)
+    early = Community(center=1, vertices=frozenset({1, 5}), sigma=2.0)
+    tie = Community(center=3, vertices=frozenset({3, 6}), sigma=2.0)
+    best = Community(center=4, vertices=frozenset({4, 7}), sigma=3.0)
+    assert rank([late, None, tie, early, best], 2) == [best, early]
+    assert rank([late, tie, early, best], 10) == [best, early, tie]
