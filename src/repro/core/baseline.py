@@ -7,6 +7,10 @@ around every surviving center, obtains the maximal k-truss there, computes
 the influential score of **every** candidate (no score bounds, no best-first
 early stop), and finally ranks the top-L.
 
+The offline trussness is computed on a driver snapshot with the online
+phase's k-truss peel (:meth:`LocalGraph.ktruss`), not in Spark; DESIGN.md
+§3 gives the reason.
+
 The paper samples 0.5% of DBLP's centers and extrapolates ATindex's time by
 ×200 because the full run is impractical; :func:`atindex_query` exposes the
 same ``sample`` mechanism for our larger stand-in graphs.
@@ -14,22 +18,45 @@ same ``sample`` mechanism for our larger stand-in graphs.
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.topl import Community, Query, rank, refine
 from repro.graph.local import LocalGraph
-from repro.graph.truss import edge_trussness, vertex_trussness
 from repro.graph.types import SocialGraph
 
 
+def edge_trussness(local: LocalGraph) -> Dict[Tuple[int, int], int]:
+    """Trussness of every canonical edge: the largest k whose maximal
+    k-truss holds it (at least 2).
+
+    Level k peels only the vertices of the (k-1)-truss: the k-truss is a
+    subgraph of the (k-1)-truss, so it lies inside their induced subgraph.
+    """
+    trussness = dict.fromkeys(local.undirected_edges(), 2)
+    alive, k = set(local.adj), 3
+    while True:
+        alive, edges = local.ktruss(alive, k)
+        if not edges:
+            return trussness
+        trussness.update(dict.fromkeys(edges, k))
+        k += 1
+
+
 def atindex_offline(spark: SparkSession, graph: SocialGraph) -> Dict[int, int]:
-    """Offline phase: vertex trussness over the whole graph (Spark)."""
-    t = edge_trussness(spark, graph.undirected_edges())
-    pdf: pd.DataFrame = vertex_trussness(t).toPandas()
-    return {int(i): int(k) for i, k in zip(pdf["id"], pdf["trussness"])}
+    """Offline phase: vertex trussness, the max over incident edges.
+
+    Vertices without edges are absent (:func:`atindex_query` reads them as
+    trussness 2).
+    """
+    local = LocalGraph.from_pandas(graph.vertices.toPandas(), graph.edges.toPandas())
+    vtruss: Dict[int, int] = {}
+    for (u, v), t in edge_trussness(local).items():
+        for x in (u, v):
+            if t > vtruss.get(x, 0):
+                vtruss[x] = t
+    return vtruss
 
 
 def atindex_query(

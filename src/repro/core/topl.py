@@ -44,6 +44,18 @@ class Query:
     theta: float
     L: int
 
+    def __post_init__(self):
+        if not self.keywords:
+            raise ValueError("query keyword set Q is empty")
+        if self.k < 2:
+            raise ValueError(f"k={self.k}: a k-truss needs k >= 2")
+        if self.r < 1:
+            raise ValueError(f"r={self.r}: the radius must be >= 1")
+        if not 0 < self.theta <= 1:
+            raise ValueError(f"theta={self.theta} outside (0, 1]")
+        if self.L < 1:
+            raise ValueError(f"L={self.L}: at least one community must be asked for")
+
 
 @dataclass
 class Community:

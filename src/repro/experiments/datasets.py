@@ -80,8 +80,14 @@ CACHE_DIR = os.environ.get(
 )
 
 
+#: Part of every on-disk cache key; bump it when a stored artefact changes
+#: meaning, so files written by older code are never loaded (2: ATindex
+#: trussness is no longer capped at 20).
+CACHE_VERSION = 2
+
+
 def _cache_path(key: Tuple) -> str:
-    digest = hashlib.sha1(repr(key).encode()).hexdigest()[:16]
+    digest = hashlib.sha1(repr((CACHE_VERSION, key)).encode()).hexdigest()[:16]
     return os.path.join(CACHE_DIR, f"prep_{digest}.pkl")
 
 

@@ -37,9 +37,3 @@ def edge_support(und_edges: DataFrame) -> DataFrame:
         und_edges.join(tri, on=["u", "v"], how="left")
         .select("u", "v", F.coalesce("support", F.lit(0)).alias("support"))
     )
-
-
-def triangle_count(und_edges: DataFrame) -> int:
-    """Total number of triangles in the graph (each counted once)."""
-    total = edge_support(und_edges).agg(F.sum("support")).collect()[0][0]
-    return int(total or 0) // 3

@@ -7,17 +7,16 @@ whose best path scores ≥ θ reaches it through prefixes that all score ≥ θ 
 pruning states below θ during propagation is therefore *exact* (tested
 against brute-force path enumeration).
 
-One fixpoint loop over a ``(src, v, val)`` state DataFrame serves both:
-
-* per-seed-set ``cpp(g, v)`` (sources = community ids, ``cpp_from_seeds``)
-  — consumed by the offline precompute, which seeds it per radius with every
-  center's r-hop members to get ``cpp(hop(v_i, r), v)`` for all centers at
-  once; it is also the distributed twin of ``LocalGraph.influence``;
-* all-pairs ``upp(u, v) ≥ θ`` (sources = every vertex, ``pairwise_upp``).
+One fixpoint loop over a ``(src, v, val)`` state DataFrame,
+``maxprod_propagate``, computes per-seed-set ``cpp(g, v)`` (sources =
+community ids, ``cpp_from_seeds``). The offline precompute seeds it per
+radius with every center's r-hop members to get ``cpp(hop(v_i, r), v)`` for
+all centers at once; it is also the distributed twin of
+``LocalGraph.influence``. The loop raises if it has not converged within
+``max_iters`` rounds: a partial state underestimates cpp, and σ bounds built
+from it would prune true answers.
 """
 from __future__ import annotations
-
-from typing import Iterable, Optional, Tuple
 
 from pyspark.sql import DataFrame, SparkSession, functions as F
 
@@ -41,7 +40,8 @@ def maxprod_propagate(
 
     ``edges``: directed ``(src, dst, weight)``; ``init``: ``(src, v, val)``
     seed states (``src`` is the propagation source id, ``v`` the current
-    vertex). Returns the converged ``(src, v, val)`` with ``val ≥ theta``.
+    vertex). Returns the converged ``(src, v, val)`` with ``val ≥ theta``;
+    raises ``RuntimeError`` if ``max_iters`` rounds do not converge.
     """
     e = edges.select(
         F.col("src").alias("_eu"), F.col("dst").alias("_ev"), "weight"
@@ -78,28 +78,9 @@ def maxprod_propagate(
                 .agg(F.max("val").alias("val"))
             )
             frontier = improved
+        else:
+            raise RuntimeError(f"max-product propagation not converged after {max_iters} rounds")
     return state
-
-
-def pairwise_upp(
-    spark: SparkSession,
-    edges: DataFrame,
-    vertices: DataFrame,
-    theta_min: float,
-    *,
-    partitions: int = 16,
-) -> DataFrame:
-    """All user-to-user propagation probabilities ``upp(u, v) ≥ theta_min``.
-
-    Includes the diagonal ``upp(u, u) = 1`` so a downstream max over a seed
-    community's members yields ``cpp(g, v) = 1`` for ``v ∈ g`` (Eq. 4).
-    """
-    init = vertices.select(
-        F.col("id").alias("src"), F.col("id").alias("v"), F.lit(1.0).alias("val")
-    )
-    return maxprod_propagate(
-        spark, edges, init, theta_min, partitions=partitions
-    )
 
 
 def cpp_from_seeds(
@@ -120,8 +101,3 @@ def cpp_from_seeds(
     )
     out = maxprod_propagate(spark, edges, init, theta, partitions=partitions)
     return out.select(F.col("src").alias("gid"), "v", F.col("val").alias("cpp"))
-
-
-def sigma_from_cpp(cpp: DataFrame) -> DataFrame:
-    """Influential scores σ(g) = Σ cpp (Eq. 5), one row per gid."""
-    return cpp.groupBy("gid").agg(F.sum("cpp").alias("sigma"))

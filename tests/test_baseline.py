@@ -2,10 +2,17 @@
 by trussness + keyword but refines everything surviving)."""
 from __future__ import annotations
 
+import itertools
+
+import networkx as nx
+import numpy as np
 import pytest
 
-from repro.core.baseline import atindex_offline, atindex_query
+from repro.core.baseline import atindex_offline, atindex_query, edge_trussness
 from repro.core.topl import Query, brute_force_topl
+from repro.graph import generators as gen
+from repro.graph.local import LocalGraph
+from tests.test_local_graph import make_local
 
 
 @pytest.fixture(scope="module")
@@ -64,3 +71,62 @@ def test_sampling_returns_subset_quality(prepared_small, vtruss):
 def test_sampling_without_candidates_is_empty(prepared_small, vtruss, q):
     """No center survives the trussness + keyword filter: nothing to sample."""
     assert atindex_query(prepared_small.local, vtruss, q, sample=0.3, seed=1) == []
+
+
+def complete_graph(spark, n):
+    """K_n as a SocialGraph and its snapshot; every vertex holds ``kw0``."""
+    verts = gen.vertices_pdf([["kw0"]] * n)
+    edges = gen.directed_weighted_edges(np.array(list(itertools.combinations(range(n), 2))))
+    return gen.build_social_graph(spark, verts, edges), LocalGraph.from_pandas(verts, edges)
+
+
+def test_trussness_above_twenty(spark):
+    """K23 has trussness 23, and ATindex answers a k = 22 query on it."""
+    graph, local = complete_graph(spark, 23)
+    vtruss = atindex_offline(spark, graph)
+    assert vtruss == dict.fromkeys(range(23), 23)
+    q = Query(keywords=frozenset({"kw0"}), k=22, r=1, theta=0.2, L=5)
+    got = atindex_query(local, vtruss, q)
+    want = brute_force_topl(local, q)
+    assert got
+    assert [(c.vertices, round(c.sigma, 6)) for c in got] == [
+        (c.vertices, round(c.sigma, 6)) for c in want
+    ]
+
+
+def test_edge_trussness_levels():
+    # K5 (trussness 5) glued to a triangle (trussness 3) at vertex 4
+    g = make_local(list(itertools.combinations(range(5), 2)) + [(4, 5), (5, 6), (4, 6)])
+    t = edge_trussness(g)
+    for e in itertools.combinations(range(5), 2):
+        assert t[e] == 5
+    assert t[(4, 5)] == t[(5, 6)] == t[(4, 6)] == 3
+
+
+def test_atindex_offline_vertex_trussness(spark):
+    """A vertex takes the largest trussness of its edges; isolated ones are
+    absent."""
+    pairs = list(itertools.combinations(range(4), 2)) + [(3, 5)]
+    verts = gen.vertices_pdf([["kw0"]] * 7)  # vertices 4 and 6 are isolated
+    edges = gen.directed_weighted_edges(np.array(pairs))
+    vt = atindex_offline(spark, gen.build_social_graph(spark, verts, edges))
+    assert vt == {0: 4, 1: 4, 2: 4, 3: 4, 5: 2}
+
+
+def clique_affiliation_local():
+    """300 vertices of DBLP-style overlapping cliques."""
+    return make_local([tuple(e) for e in gen.clique_affiliation_edges(300, 240, seed=7)])
+
+
+@pytest.mark.parametrize("graph", ["nws", "cliques"])
+def test_peel_matches_networkx(local_small, graph):
+    """The k-truss peel and the trussness levels against an independent
+    implementation (``networkx.k_truss``)."""
+    local = local_small if graph == "nws" else clique_affiliation_local()
+    nxg = nx.Graph(local.undirected_edges())
+    t = edge_trussness(local)
+    for k in range(2, 9):
+        want = {(min(e), max(e)) for e in nx.k_truss(nxg, k).edges}
+        _, got = local.ktruss(set(local.adj), k)
+        assert got == want, k
+        assert {e for e, te in t.items() if te >= k} == want, k

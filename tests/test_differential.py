@@ -6,11 +6,6 @@ the clique-affiliation stand-ins and on Zipf keywords, not only on the NWS
 Uniform fixture. The last two share the refinement kernel and the ranking
 rule, and every center of a k-truss community has trussness ≥ k, so they
 must also return the same vertex sets in the same order.
-
-ATindex's vertex trussness is taken from the driver-side k-truss peel: the
-Spark ``atindex_offline`` does not finish on the clique-affiliation graphs
-at this size (ROADMAP), and the offline trussness is checked elsewhere
-(``test_baseline.py``, ``test_truss_spark.py``).
 """
 from __future__ import annotations
 
@@ -18,7 +13,7 @@ import random
 
 import pytest
 
-from repro.core.baseline import atindex_query
+from repro.core.baseline import atindex_offline, atindex_query
 from repro.core.topl import Query, brute_force_topl, topl_icde
 from repro.experiments import params as P
 from repro.experiments.datasets import prepare
@@ -30,21 +25,10 @@ DATASETS = {
 }
 
 
-def vertex_trussness(local):
-    """Largest k whose maximal k-truss holds the vertex (k ≥ 3 only)."""
-    vtruss, k = {}, 3
-    while True:
-        alive, _ = local.ktruss(set(local.adj), k)
-        if not alive:
-            return vtruss
-        vtruss.update(dict.fromkeys(alive, k))
-        k += 1
-
-
 @pytest.fixture(scope="module", params=list(DATASETS))
 def prep(request, spark):
     prep = prepare(spark, n=120, seed=3, **DATASETS[request.param])
-    return prep, vertex_trussness(prep.local)
+    return prep, atindex_offline(spark, prep.graph)
 
 
 def random_queries(count: int, seed: int):

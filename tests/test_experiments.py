@@ -131,3 +131,18 @@ def test_unreadable_disk_cache_warns_and_rebuilds(spark, monkeypatch, tmp_path):
     assert prep.key == key
     assert "from_disk_cache" not in prep.timings
     assert D._disk_load(key)["key"] == key  # the rebuild replaced the file
+
+
+def test_disk_cache_ignores_unversioned_files(monkeypatch, tmp_path):
+    """A cache file written by code without ``CACHE_VERSION`` in its key
+    (for example one holding trussness capped at 20) is never loaded."""
+    import hashlib
+    import pickle
+
+    monkeypatch.setattr(D, "CACHE_DIR", str(tmp_path))
+    key = ("nws", 40, "uniform", P.SIGMA_DOMAIN, P.W_PER_VERTEX, 11, P.R_MAX, P.THETAS)
+    old = tmp_path / f"prep_{hashlib.sha1(repr(key).encode()).hexdigest()[:16]}.pkl"
+    old.write_bytes(pickle.dumps({"key": key, "vtruss": {0: 20}}))
+    assert D._disk_load(key) is None
+    D._disk_store(key, {"vtruss": {0: 23}})
+    assert D._disk_load(key)["vtruss"] == {0: 23}

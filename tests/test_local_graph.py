@@ -115,6 +115,11 @@ class TestSupportAndTruss:
         vs, es = g.ktruss(set(range(5)), 2)
         assert len(es) == 4
 
+    def test_truss_cascading_peel(self):
+        """Removing one weak edge can cascade: a triangle chain is not a 4-truss."""
+        g = make_local([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
+        assert g.ktruss(set(range(5)), 4) == (set(), set())
+
     def test_truss_monotone_in_k(self):
         g = make_local(K5_EDGES + [(4, 5), (5, 6), (6, 4)])
         sizes = []

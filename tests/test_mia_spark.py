@@ -7,12 +7,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.graph.local import LocalGraph
-from repro.influence.mia import (
-    cpp_from_seeds,
-    maxprod_propagate,
-    pairwise_upp,
-    sigma_from_cpp,
-)
+from repro.influence.mia import cpp_from_seeds, maxprod_propagate
 from repro.oracle import assert_equivalent
 
 # max-product reachability as a recursive CTE: walks with running product
@@ -31,9 +26,18 @@ FROM walk GROUP BY v
 """
 
 
+def pairwise(spark, graph, theta):
+    """All-pairs ``upp(u, v) ≥ theta``, the diagonal at 1: propagation from
+    an ``(id, id, 1.0)`` state at every vertex."""
+    init = graph.vertices.select(
+        F.col("id").alias("src"), F.col("id").alias("v"), F.lit(1.0).alias("val")
+    )
+    return maxprod_propagate(spark, graph.edges, init, theta)
+
+
 @pytest.fixture(scope="module")
 def upp(spark, spark_graph):
-    return pairwise_upp(spark, spark_graph.edges, spark_graph.vertices, 0.1).cache()
+    return pairwise(spark, spark_graph, 0.1).cache()
 
 
 @pytest.mark.parametrize("src", [0, 31])
@@ -84,17 +88,18 @@ def test_cpp_from_seeds_matches_local(spark, spark_graph, local_small):
 
 
 def test_sigma_from_cpp_matches_local(spark, spark_graph, local_small):
+    """A seed group's σ is the sum of its cpp column."""
     seeds = spark.createDataFrame(pd.DataFrame({"gid": [7] * 3, "v": [10, 11, 12]}))
     cpp = cpp_from_seeds(spark, spark_graph.edges, seeds, 0.2)
-    got = sigma_from_cpp(cpp).collect()[0].sigma
+    got = cpp.agg(F.sum("cpp").alias("sigma")).collect()[0].sigma
     assert got == pytest.approx(local_small.sigma([10, 11, 12], 0.2), abs=1e-9)
 
 
 def test_theta_pruning_is_exact(spark, spark_graph, local_small):
     """Propagating at θ=0.3 equals propagating at θ=0.1 then filtering —
     the prefix-monotonicity argument the offline phase relies on."""
-    hi = pairwise_upp(spark, spark_graph.edges, spark_graph.vertices, 0.3)
-    lo = pairwise_upp(spark, spark_graph.edges, spark_graph.vertices, 0.1)
+    hi = pairwise(spark, spark_graph, 0.3)
+    lo = pairwise(spark, spark_graph, 0.1)
     hi_rows = {(r.src, r.v): r.val for r in hi.collect()}
     lo_rows = {
         (r.src, r.v): r.val for r in lo.where(F.col("val") >= 0.3).collect()
@@ -104,13 +109,28 @@ def test_theta_pruning_is_exact(spark, spark_graph, local_small):
         assert hi_rows[k] == pytest.approx(lo_rows[k], abs=1e-9)
 
 
-def test_custom_init_propagation(spark):
-    """maxprod_propagate on a 3-chain with hand-set weights."""
+@pytest.fixture(scope="module")
+def chain(spark):
+    """A 3-chain 0 → 1 → 2 with hand-set weights, seeded at vertex 0."""
     edges = spark.createDataFrame(
         pd.DataFrame({"src": [0, 1], "dst": [1, 2], "weight": [0.6, 0.5]})
     )
     init = spark.createDataFrame(
         pd.DataFrame({"src": [99], "v": [0], "val": [1.0]})
     )
-    got = {r.v: r.val for r in maxprod_propagate(spark, edges, init, 0.1).collect()}
+    return edges, init
+
+
+def test_custom_init_propagation(spark, chain):
+    """maxprod_propagate on a 3-chain with hand-set weights."""
+    got = {r.v: r.val for r in maxprod_propagate(spark, *chain, 0.1).collect()}
+    assert got == {0: 1.0, 1: pytest.approx(0.6), 2: pytest.approx(0.3)}
+
+
+def test_propagation_must_converge(spark, chain):
+    """The chain needs a third round to see that nothing improves; a state
+    cut off before that is refused, not returned."""
+    with pytest.raises(RuntimeError, match="not converged after 2 rounds"):
+        maxprod_propagate(spark, *chain, 0.1, max_iters=2)
+    got = {r.v: r.val for r in maxprod_propagate(spark, *chain, 0.1, max_iters=3).collect()}
     assert got == {0: 1.0, 1: pytest.approx(0.6), 2: pytest.approx(0.3)}

@@ -133,3 +133,26 @@ def test_rank_keeps_smallest_center_per_vertex_set():
     best = Community(center=4, vertices=frozenset({4, 7}), sigma=3.0)
     assert rank([late, None, tie, early, best], 2) == [best, early]
     assert rank([late, tie, early, best], 10) == [best, early, tie]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(L=0),
+        dict(k=1),
+        dict(r=0),
+        dict(theta=0.0),
+        dict(theta=1.5),
+        dict(keywords=frozenset()),
+    ],
+    ids=["L0", "k1", "r0", "theta0", "theta-above-1", "empty-Q"],
+)
+def test_query_rejects_invalid_parameters(bad):
+    """Def. 4 needs L ≥ 1, k ≥ 2, r ≥ 1, θ ∈ (0, 1] and a non-empty Q; an
+    L = 0 query used to reach the top-L buffer and fail with IndexError."""
+    with pytest.raises(ValueError):
+        q_default(**bad)
+
+
+def test_query_accepts_boundary_values():
+    q_default(L=1, k=2, r=1, theta=1.0, keywords=frozenset({"kw0"}))

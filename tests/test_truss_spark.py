@@ -1,70 +1,53 @@
-"""Spark k-truss peeling / trussness vs the local reference."""
+"""k-truss and trussness of graphs held in Spark (ATindex's offline input)
+vs the local reference."""
 from __future__ import annotations
 
 import itertools
 
-import pandas as pd
+import numpy as np
 import pytest
 
-from repro.graph.truss import edge_trussness, ktruss_edges, vertex_trussness
+from repro.core.baseline import atindex_offline, edge_trussness
+from repro.graph import generators as gen
+from repro.graph.local import LocalGraph
 
 
-def df_edges(spark, pairs):
-    return spark.createDataFrame(pd.DataFrame(pairs, columns=["u", "v"]))
+def spark_pairs(spark, pairs):
+    """A SocialGraph in Spark with the given undirected edges."""
+    n = max(itertools.chain.from_iterable(pairs)) + 1
+    edges = gen.directed_weighted_edges(np.array(pairs))
+    return gen.build_social_graph(spark, gen.vertices_pdf([["kw0"]] * n), edges)
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_matches_local_reference(spark, spark_graph, local_small, k):
-    got = {(r.u, r.v) for r in ktruss_edges(spark, spark_graph.undirected_edges(), k).collect()}
-    _, want = local_small.ktruss(set(local_small.vertices()), k)
-    assert got == want
+    vt = atindex_offline(spark, spark_graph)
+    want, _ = local_small.ktruss(set(local_small.vertices()), k)
+    assert {v for v, t in vt.items() if t >= k} == want
 
 
 def test_k5_clique(spark):
     pairs = list(itertools.combinations(range(5), 2))
-    assert ktruss_edges(spark, df_edges(spark, pairs), 5).count() == 10
-    assert ktruss_edges(spark, df_edges(spark, pairs), 6).count() == 0
+    assert atindex_offline(spark, spark_pairs(spark, pairs)) == dict.fromkeys(range(5), 5)
 
 
 def test_pendant_removed(spark):
     pairs = list(itertools.combinations(range(4), 2)) + [(0, 9)]
-    got = {(r.u, r.v) for r in ktruss_edges(spark, df_edges(spark, pairs), 4).collect()}
-    assert got == set(itertools.combinations(range(4), 2))
+    vt = atindex_offline(spark, spark_pairs(spark, pairs))
+    assert vt == {0: 4, 1: 4, 2: 4, 3: 4, 9: 2}
 
 
 def test_k2_identity(spark):
     pairs = [(0, 1), (1, 2)]
-    assert ktruss_edges(spark, df_edges(spark, pairs), 2).count() == 2
+    assert atindex_offline(spark, spark_pairs(spark, pairs)) == {0: 2, 1: 2, 2: 2}
 
 
-def test_cascading_peel(spark):
-    """Removing one weak edge can cascade: a triangle chain is not a 4-truss."""
-    pairs = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]
-    assert ktruss_edges(spark, df_edges(spark, pairs), 4).count() == 0
-
-
-def test_trussness_levels(spark):
-    # K5 (trussness 5) glued to a triangle (trussness 3) at vertex 4
-    pairs = list(itertools.combinations(range(5), 2)) + [(4, 5), (5, 6), (4, 6)]
-    t = {(r.u, r.v): r.trussness for r in edge_trussness(spark, df_edges(spark, pairs)).collect()}
-    for e in itertools.combinations(range(5), 2):
-        assert t[e] == 5
-    assert t[(4, 5)] == t[(5, 6)] == t[(4, 6)] == 3
-
-
-def test_trussness_consistent_with_peeling(spark, spark_graph, local_small):
-    t = edge_trussness(spark, spark_graph.undirected_edges())
-    rows = t.collect()
+def test_trussness_consistent_with_peeling(spark_graph, local_small):
+    """Trussness of the edges collected from Spark vs the local k-truss."""
+    collected = LocalGraph.from_pandas(
+        spark_graph.vertices.toPandas(), spark_graph.edges.toPandas()
+    )
+    t = edge_trussness(collected)
     for k in (3, 4):
-        want_vs, want_es = local_small.ktruss(set(local_small.vertices()), k)
-        got = {(r.u, r.v) for r in rows if r.trussness >= k}
-        assert got == want_es
-
-
-def test_vertex_trussness(spark):
-    pairs = list(itertools.combinations(range(4), 2)) + [(3, 5)]
-    t = edge_trussness(spark, df_edges(spark, pairs))
-    vt = {r.id: r.trussness for r in vertex_trussness(t).collect()}
-    assert vt[0] == vt[1] == vt[2] == 4
-    assert vt[3] == 4  # touches the K4
-    assert vt[5] == 2  # only the pendant edge
+        _, want_es = local_small.ktruss(set(local_small.vertices()), k)
+        assert {e for e, te in t.items() if te >= k} == want_es
