@@ -10,6 +10,9 @@ the *offline* phase (and all bulk work) uses the Spark implementations in
 
 Everything here is pure Python + stdlib (heapq), deterministic, and sized for
 graphs that fit comfortably on the driver (≤ a few hundred thousand edges).
+Seed-community extraction, :meth:`LocalGraph.ktruss` and hence ATindex's
+edge trussness share one queue-based k-truss peel (:class:`_Peel`) that
+counts support once and updates it as edges leave.
 """
 from __future__ import annotations
 
@@ -21,6 +24,8 @@ import pandas as pd
 
 #: Tolerance when comparing path products (floating max-product relaxation).
 EPS = 1e-12
+
+_NO_KEYWORDS: FrozenSet[str] = frozenset()
 
 
 @dataclass
@@ -50,13 +55,24 @@ class LocalGraph:
 
         ``support`` (optional) is a canonical ``(u, v, support)`` frame as
         produced by :func:`repro.graph.triangles.edge_support`.
+
+        Raises ValueError on a weight outside (0, 1) (MIA threshold pruning
+        is exact only if every p < 1), a duplicate vertex id or a self loop.
         """
-        adj: Dict[int, Set[int]] = {int(i): set() for i in vertices["id"]}
-        out: Dict[int, List[Tuple[int, float]]] = {int(i): [] for i in vertices["id"]}
+        ids, w = vertices["id"], edges["weight"]
+        dup = ids[ids.duplicated()]
+        if len(dup):
+            raise ValueError(f"duplicate vertex ids: {sorted(set(dup))[:5]}")
+        bad = w[~((w > 0) & (w < 1))]
+        if len(bad):
+            raise ValueError(f"{len(bad)} edge weights outside (0, 1): {list(bad[:5])}")
+        loops = edges["src"][edges["src"] == edges["dst"]]
+        if len(loops):
+            raise ValueError(f"self loops at vertices {sorted(set(loops))[:5]}")
+        adj: Dict[int, Set[int]] = {int(i): set() for i in ids}
+        out: Dict[int, List[Tuple[int, float]]] = {int(i): [] for i in ids}
         for s, d, w in zip(edges["src"], edges["dst"], edges["weight"]):
             s, d = int(s), int(d)
-            if s == d:
-                continue
             adj.setdefault(s, set()).add(d)
             adj.setdefault(d, set()).add(s)
             out.setdefault(s, []).append((d, float(w)))
@@ -131,44 +147,23 @@ class LocalGraph:
         return {(u, v): len(nbr[u] & nbr[v]) for (u, v) in edges}
 
     # ----------------------------------------------------------------- truss
+    def _nbr(self, vset: Set[int]) -> Dict[int, Set[int]]:
+        """Neighbour map of the induced subgraph on ``vset``."""
+        return {v: self.adj[v] & vset for v in vset}
+
     def ktruss(
         self, vset: Set[int], k: int
     ) -> Tuple[Set[int], Set[Tuple[int, int]]]:
         """Maximal k-truss of the induced subgraph on ``vset``.
 
-        Iteratively peels edges with support < k-2 (paper Def. 2 / Lemma 2),
-        then drops isolated vertices. Returns (vertices, canonical edges).
+        Peels edges with support < k-2 (paper Def. 2 / Lemma 2) with
+        :class:`_Peel`, then drops isolated vertices. Returns (vertices,
+        canonical edges).
         """
-        edges = {(u, v) for u in vset for v in self.adj[u] if v in vset and u < v}
-        need = max(k - 2, 0)
-        while True:
-            sup = self.induced_support(vset, edges)
-            bad = {e for e, s in sup.items() if s < need}
-            if not bad:
-                break
-            edges -= bad
-        alive = {u for e in edges for u in e}
-        return alive, edges
-
-    def connected_component(
-        self, start: int, edges: Set[Tuple[int, int]]
-    ) -> Set[int]:
-        """Component of ``start`` in the graph spanned by ``edges``."""
-        nbr: Dict[int, Set[int]] = {}
-        for u, v in edges:
-            nbr.setdefault(u, set()).add(v)
-            nbr.setdefault(v, set()).add(u)
-        if start not in nbr:
-            return {start}
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in nbr[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen
+        nbr = self._nbr(vset)
+        _Peel(nbr, k).run()
+        alive = {u for u, nu in nbr.items() if nu}
+        return alive, {(u, v) for u in alive for v in nbr[u] if u < v}
 
     # ----------------------------------------------------------------- k-core
     def kcore(self, vset: Set[int], k: int) -> Set[int]:
@@ -194,49 +189,49 @@ class LocalGraph:
     ) -> Optional[FrozenSet[int]]:
         """Maximal seed community at ``center`` (paper Def. 2), or None.
 
-        Fixpoint loop: keyword-filtered r-hop candidate set → k-truss peel →
-        connected component of the center → radius re-check *inside* the
-        community (Def. 2 measures distance within g) → repeat until stable.
-        The candidate set shrinks monotonically, so the loop terminates.
-        Communities with no edges are rejected for k ≥ 3 (DESIGN.md §4).
+        The candidate set is what a depth-r BFS from the center reaches while
+        entering only keyword-matching vertices: every vertex of a valid seed
+        community is reachable that way. Its induced subgraph is peeled to
+        the k-truss once; then a depth-r BFS from the center over the
+        surviving edges keeps the center's component within radius r
+        (Def. 2 measures distance inside g). Vertices it misses are removed
+        with their edges and the peel resumes, until the BFS reaches every
+        remaining vertex. The set only shrinks, so one support count serves
+        every round. None once the center has no edge left (so communities
+        without edges are rejected, DESIGN.md §4).
         """
-        if not (self.keywords.get(center, frozenset()) & query):
+        kw, adj = self.keywords, self.adj
+        if center not in adj or kw.get(center, _NO_KEYWORDS).isdisjoint(query):
             return None
-        allowed = {
-            v
-            for v in self.khop(center, r)
-            if self.keywords.get(v, frozenset()) & query
-        }
-        cur = set(self.khop(center, r, allowed=allowed))
-        while cur:
-            alive, edges = self.ktruss(cur, k)
-            if center not in alive:
-                return None
-            comp = self.connected_component(center, edges)
-            comp_edges = {(u, v) for (u, v) in edges if u in comp and v in comp}
-            nbr: Dict[int, Set[int]] = {v: set() for v in comp}
-            for u, v in comp_edges:
-                nbr[u].add(v)
-                nbr[v].add(u)
-            dist = {center: 0}
+        cand = {center}
+        frontier = [center]
+        for _ in range(r):
+            nxt = []
+            for u in frontier:
+                for v in adj[u]:
+                    if v not in cand and not kw.get(v, _NO_KEYWORDS).isdisjoint(query):
+                        cand.add(v)
+                        nxt.append(v)
+            frontier = nxt
+        nbr = self._nbr(cand)
+        peel = _Peel(nbr, k, center)
+        if not peel.run():
+            return None
+        while True:
+            reached = {center}
             frontier = [center]
-            d = 0
-            while frontier and d < r:
-                d += 1
+            for _ in range(r):
                 nxt = []
                 for u in frontier:
                     for v in nbr[u]:
-                        if v not in dist:
-                            dist[v] = d
+                        if v not in reached:
+                            reached.add(v)
                             nxt.append(v)
                 frontier = nxt
-            within = set(dist)
-            if within == cur:
-                if k >= 3 and not comp_edges:
-                    return None
-                return frozenset(within)
-            cur = within
-        return None
+            if len(reached) == len(nbr):
+                return frozenset(reached)
+            if not peel.drop([v for v in nbr if v not in reached]):
+                return None
 
     # -------------------------------------------------------------- influence
     def influence(self, seed: Iterable[int], theta: float) -> Dict[int, float]:
@@ -282,3 +277,64 @@ class LocalGraph:
                         nxt.append(v)
             frontier = nxt
         return dist
+
+
+class _Peel:
+    """Queue-based k-truss peel over a neighbour map, edited in place.
+
+    Support (triangles per edge) is counted once. Removing an edge (u, v)
+    decrements the other two edges of every triangle (u, v, w) and queues an
+    edge whose support falls below k-2 — the standard truss decomposition
+    (Cohen 2008; Wang & Cheng, VLDB 2012). :meth:`drop` removes vertices
+    outright (the radius cut in :meth:`LocalGraph.seed_community`) and
+    resumes the peel on the same counts.
+    """
+
+    def __init__(
+        self, nbr: Dict[int, Set[int]], k: int, center: Optional[int] = None
+    ) -> None:
+        self.nbr = nbr
+        self.need = max(k - 2, 0)
+        self.center = center
+        self.sup: Dict[Tuple[int, int], int] = {}
+        self.queue: List[Tuple[int, int]] = []
+        for u, nu in nbr.items():
+            for v in nu:
+                if u < v:
+                    s = len(nu & nbr[v])
+                    self.sup[(u, v)] = s
+                    if s < self.need:
+                        self.queue.append((u, v))
+
+    def run(self) -> bool:
+        """Remove every queued edge and peel to the k-truss. False as soon
+        as the center (if any) has no edge left."""
+        nbr, sup, queue, center = self.nbr, self.sup, self.queue, self.center
+        low = self.need - 1
+        while queue:
+            u, v = queue.pop()
+            nu, nv = nbr[u], nbr[v]
+            if v not in nu:
+                continue  # queued twice
+            nu.discard(v)
+            nv.discard(u)
+            for w in nu & nv:
+                for e in ((u, w) if u < w else (w, u), (v, w) if v < w else (w, v)):
+                    s = sup[e] - 1
+                    sup[e] = s
+                    if s == low:
+                        queue.append(e)
+            if (u == center or v == center) and not nbr[center]:
+                queue.clear()
+                return False
+        return center is None or bool(nbr[center])
+
+    def drop(self, vertices: List[int]) -> bool:
+        """Remove ``vertices`` with their edges and resume the peel."""
+        for x in vertices:
+            for y in self.nbr[x]:
+                self.queue.append((x, y) if x < y else (y, x))
+        ok = self.run()
+        for x in vertices:
+            del self.nbr[x]
+        return ok

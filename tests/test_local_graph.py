@@ -7,11 +7,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import pandas as pd
 import pytest
 
 from repro.core.keywords import bv_of
+from repro.graph import generators as gen
 from repro.graph.local import LocalGraph
 
 
@@ -34,6 +36,43 @@ def make_local(und_edges, n=None, keywords=None, weights=None) -> LocalGraph:
         rows.append((v, u, w.get((v, u), 0.55)))
     edges = pd.DataFrame(rows, columns=["src", "dst", "weight"])
     return LocalGraph.from_pandas(verts, edges)
+
+
+def reference_seed_community(g: LocalGraph, center, r, k, query):
+    """Def. 2 fixpoint written plainly: r-hop ball, keyword filter, r-hop
+    ball through matching vertices, then repeat {peel by recounting support,
+    component of the center, radius BFS inside it} until the set is stable."""
+    if not (g.keywords[center] & query):
+        return None
+    allowed = {v for v in g.khop(center, r) if g.keywords[v] & query}
+    cur = set(g.khop(center, r, allowed=allowed))
+    while cur:
+        edges = {(u, v) for u in cur for v in g.adj[u] if v in cur and u < v}
+        while True:
+            nbr = {v: set() for v in cur}
+            for u, v in edges:
+                nbr[u].add(v)
+                nbr[v].add(u)
+            weak = {(u, v) for u, v in edges if len(nbr[u] & nbr[v]) < k - 2}
+            if not weak:
+                break
+            edges -= weak
+        if not nbr[center]:
+            return None
+        comp, stack = {center}, [center]
+        while stack:
+            for v in nbr[stack.pop()] - comp:
+                comp.add(v)
+                stack.append(v)
+        dist = {center: 0}
+        frontier = [center]
+        for d in range(1, r + 1):
+            frontier = [v for u in frontier for v in nbr[u] if v in comp and v not in dist]
+            dist.update((v, d) for v in frontier)
+        if set(dist) == cur:
+            return frozenset(cur)
+        cur = set(dist)
+    return None
 
 
 K5_EDGES = list(itertools.combinations(range(5), 2))
@@ -138,14 +177,6 @@ class TestSupportAndTruss:
 
 
 class TestComponentAndCore:
-    def test_component(self):
-        g = make_local(PATH + [(10, 11)], n=12)
-        assert g.connected_component(0, {(0, 1), (1, 2), (10, 11)}) == {0, 1, 2}
-
-    def test_component_isolated_start(self):
-        g = make_local(PATH)
-        assert g.connected_component(4, set()) == {4}
-
     def test_kcore_ring(self):
         g = make_local(RING6)
         assert g.kcore(set(range(6)), 2) == set(range(6))
@@ -159,6 +190,25 @@ class TestComponentAndCore:
         core = local_small.kcore(set(local_small.vertices()), 4)
         for v in core:
             assert len(local_small.adj[v] & core) >= 4
+
+
+class TestFromPandas:
+    def test_rejects_weight_outside_open_unit_interval(self):
+        for w in (0.0, 1.0, 1.5, -0.2, math.nan):
+            with pytest.raises(ValueError, match="weight"):
+                make_local(PATH, weights={(0, 1): w})
+
+    def test_rejects_duplicate_vertex_id(self):
+        verts = pd.DataFrame(
+            {"id": [0, 1, 1], "keywords": [["kw0"]] * 3, "bv": [bv_of(["kw0"])] * 3}
+        )
+        edges = pd.DataFrame({"src": [0], "dst": [1], "weight": [0.5]})
+        with pytest.raises(ValueError, match="duplicate"):
+            LocalGraph.from_pandas(verts, edges)
+
+    def test_rejects_self_loop(self):
+        with pytest.raises(ValueError, match="self loop"):
+            make_local(PATH + [(2, 2)])
 
 
 class TestInfluence:
@@ -298,6 +348,53 @@ class TestSeedCommunity:
             assert set(dist) == set(got)
             assert max(dist.values()) <= 2
         assert checked > 0, "fixture produced no communities to validate"
+
+    def test_matches_reference_fixpoint(self, local_small, local_medium):
+        """Equal to the plainly written fixpoint on every center, for seeded
+        random (Q, k, r) on NWS Uniform, NWS Zipf and clique-affiliation
+        graphs."""
+        cliques = gen.clique_affiliation_edges(200, n_cliques=200, seed=13)
+        graphs = [
+            local_small,
+            local_medium,
+            LocalGraph.from_pandas(*gen.pandas_social_network(200, dist="zipf", seed=11)),
+            LocalGraph.from_pandas(
+                gen.vertices_pdf(gen.assign_keywords(200, 20, 3, "uniform", seed=14)),
+                gen.directed_weighted_edges(cliques, seed=15),
+            ),
+        ]
+        rng = random.Random(17)
+        for g in graphs:
+            vocab = sorted({w for kws in g.keywords.values() for w in kws})
+            outcomes = set()
+            for _ in range(6):
+                query = set(rng.sample(vocab, rng.randint(1, 6)))
+                k, r = rng.randint(2, 6), rng.randint(1, 3)
+                for center in g.vertices():
+                    got = g.seed_community(center, r, k, query)
+                    assert got == reference_seed_community(g, center, r, k, query), (
+                        center, r, k, query,
+                    )
+                    outcomes.add(got is None)
+            assert outcomes == {True, False}, "queries gave only one kind of answer"
+
+    def test_radius_cut_repeels(self):
+        """A vertex the radius cut drops can hold up edges that stay inside.
+
+        K4 {0,1,2,3} and an octahedron on {3..8} share vertex 3 (opposite
+        pairs 3-8, 4-5, 6-7). Edge 1-8 is in no triangle, so the peel drops
+        it and 8 ends at distance 3 from center 0. Without 8 every
+        octahedron edge is in one triangle only, so a second peel round
+        removes the whole octahedron.
+        """
+        octahedron = [
+            (u, v)
+            for u, v in itertools.combinations(range(3, 9), 2)
+            if {u, v} not in ({3, 8}, {4, 5}, {6, 7})
+        ]
+        g = make_local(list(itertools.combinations(range(4), 2)) + octahedron + [(1, 8)])
+        assert g.seed_community(0, 2, 4, {"kw0"}) == frozenset({0, 1, 2, 3})
+        assert g.seed_community(0, 3, 4, {"kw0"}) == frozenset(range(9))
 
     def test_fixpoint_stability(self, local_medium):
         """Running extraction on its own result returns the same set."""
