@@ -1,8 +1,8 @@
 """Shared SparkSession builder for spark-submit entrypoints.
 
 Jobs create their own session (they run standalone under spark-submit);
-tests and benchmarks use the session-scoped ``spark`` fixture from
-``conftest.py`` instead — never both at once.
+tests use the session-scoped ``spark`` fixture from ``conftest.py`` and
+perfbench starts its own — never two at once.
 
 When run as plain ``python jobs/<name>.py`` (no spark-submit), the driver
 JVM would default to 1g; mirror conftest.py's sizing via

@@ -11,19 +11,21 @@ aggregates the online phase prunes with:
   offline threshold grid ``θ_1 < … < θ_m`` (Sec. IV-D), i.e. the score of the
   whole r-hop subgraph treated as the seed community.
 
-Dataflow: one multi-source BFS gives hop membership for *all* centers; then,
-per radius, one multi-source max-product fixpoint seeded with every center's
-hop members yields ``cpp(hop(v_i, r), v)`` for all centers at once, and one
-aggregation produces every σ_z. An earlier formulation joined membership
-with the all-pairs ``upp`` table instead — semantically identical but it
-materialises |membership| × |reach| (~10⁹ rows at 10K vertices); the
-propagation keeps the working set at the size of its *output* (~10⁷ rows).
-No per-vertex traversals anywhere (DESIGN.md §3).
+Dataflow: one multi-source BFS gives hop distances for *all* centers; each
+``(center, v, dist)`` row is expanded to every radius ``r ≥ dist`` it is a
+member of. Every aggregate is then one ``groupBy(center, r)``, and one
+multi-source max-product fixpoint seeded with every ``(center, r)`` hop set
+(seed-set id ``center·(r_max+1) + r``) yields ``cpp(hop(v_i, r), v)`` for all
+centers and radii at once. An earlier formulation joined membership with the
+all-pairs ``upp`` table instead — semantically identical but it materialises
+|membership| × |reach| (~10⁹ rows at 10K vertices); the propagation keeps the
+working set at the size of its *output*. No per-vertex traversals and no
+per-radius passes (DESIGN.md §3).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import pandas as pd
 from pyspark.sql import SparkSession, functions as F
@@ -37,17 +39,15 @@ from repro.sparkutil import shuffle_partitions
 #: Sentinel for "the r-hop subgraph has no induced edge": always prunable.
 NO_EDGE_SUPPORT = -1
 
-DEFAULT_THETAS: Tuple[float, ...] = (0.1, 0.2, 0.3)
-DEFAULT_R_MAX = 3
-
 
 @dataclass
 class Precomputed:
     """Output of the offline phase: per-(vertex, r) aggregates.
 
     ``pdf`` columns: ``vertex, r, bv_self, bv_r, ub_sup_r, sigma_0 … sigma_{m-1}``.
-    ``support_pdf`` is the global canonical edge-support table (consumed by
-    the ``LocalGraph`` snapshot and by Lemma 2 at refinement time).
+    ``support_pdf`` is the global canonical edge-support table. It fills
+    ``LocalGraph.support`` in the snapshot and is stored in the disk cache;
+    no online path reads it (the online prunes read ``ub_sup_r``).
     """
 
     pdf: pd.DataFrame
@@ -60,63 +60,56 @@ def offline_precompute(
     spark: SparkSession,
     graph: SocialGraph,
     *,
-    r_max: int = DEFAULT_R_MAX,
-    thetas: Sequence[float] = DEFAULT_THETAS,
-    partitions: int = 16,
+    r_max: int,
+    thetas: Sequence[float],
 ) -> Precomputed:
     """Run Algorithm 2 over ``graph`` and collect the (small) aggregates."""
     thetas = tuple(sorted(thetas))
-    und = graph.undirected_edges()
-    support = edge_support(und).cache()
-    adjacency = graph.adjacency()
-
+    slots = r_max + 1  # seed-set id of (center, r) is center·slots + r
+    support = edge_support(graph.undirected_edges()).cache()
     membership = multi_source_hops(
-        spark, adjacency, r_max, vertices=graph.vertices, partitions=partitions
-    ).cache()
+        spark, graph.adjacency(), r_max, vertices=graph.vertices
+    )
 
-    frames: List[pd.DataFrame] = []
-    with shuffle_partitions(spark, partitions):
-        # bit vectors and supports are cheap: pre-reduce per (center, d) so
-        # each radius only re-aggregates tiny intermediates.
-        bv_d = (
-            membership.join(
-                graph.vertices.select(F.col("id").alias("v"), "bv"), on="v"
+    def by_radius(df, dist):
+        """One row per radius ``r ∈ [max(dist, 1), r_max]`` whose hop holds it."""
+        return df.withColumn(
+            "r", F.explode(F.sequence(F.greatest(dist, F.lit(1)), F.lit(r_max)))
+        )
+
+    with shuffle_partitions(spark):
+        # v ∈ hop(center, r)
+        hop = by_radius(membership, F.col("dist"))
+        bv = (
+            hop.join(graph.vertices.select(F.col("id").alias("v"), "bv"), on="v")
+            .groupBy("center", "r")
+            .agg(
+                F.expr("bit_or(bv)").alias("bv_r"),
+                # the center's own bit vector: Def. 2 requires v_q ∈ g and
+                # every vertex of g to hold a query keyword, so Lemma 1
+                # applies to the center directly — a cheap keyword prune.
+                F.max(F.when(F.col("dist") == 0, F.col("bv"))).alias("bv_self"),
             )
-            .groupBy("center", "dist")
-            .agg(F.expr("bit_or(bv)").alias("bv_d"))
-        ).cache()
+        )
         # induced-edge support: an edge {u,v} is inside hop(c, r) iff both
         # endpoints are within r, i.e. max(d_u, d_v) <= r
         m_u = membership.select("center", F.col("v").alias("u"), F.col("dist").alias("du"))
         m_v = membership.select("center", "v", F.col("dist").alias("dv"))
-        sup_d = (
-            support.join(m_u, on="u")
-            .join(m_v, on=["center", "v"])
-            .withColumn("dist", F.greatest("du", "dv"))
-            .groupBy("center", "dist")
-            .agg(F.max("support").alias("sup_d"))
-        ).cache()
-
-        for r in range(1, r_max + 1):
-            bv_r = (
-                bv_d.where(F.col("dist") <= r)
-                .groupBy("center")
-                .agg(F.expr("bit_or(bv_d)").alias("bv_r"))
+        sup = (
+            by_radius(
+                support.join(m_u, on="u").join(m_v, on=["center", "v"]),
+                F.greatest("du", "dv"),
             )
-            sup_r = (
-                sup_d.where(F.col("dist") <= r)
-                .groupBy("center")
-                .agg(F.max("sup_d").alias("ub_sup_r"))
-            )
-            # cpp(hop(c, r), ·) for every center at once: multi-source
-            # max-product propagation seeded with the hop members at cpp=1.
-            seeds = membership.where(F.col("dist") <= r).select(
-                F.col("center").alias("gid"), "v"
-            )
-            cpp_r = cpp_from_seeds(
-                spark, graph.edges, seeds, thetas[0], partitions=partitions
-            ).withColumnRenamed("gid", "center")
-            sigma_r = cpp_r.groupBy("center").agg(
+            .groupBy("center", "r")
+            .agg(F.max("support").alias("ub_sup_r"))
+        )
+        # cpp(hop(c, r), ·) for every (center, r) at once: one multi-source
+        # max-product propagation seeded with each hop's members at cpp=1.
+        seeds = hop.select((F.col("center") * slots + F.col("r")).alias("gid"), "v")
+        cpp = cpp_from_seeds(spark, graph.edges, seeds, thetas[0])
+        sigma = (
+            cpp.groupBy("gid")
+            .agg(
                 *[
                     F.sum(
                         F.when(F.col("cpp") >= float(t), F.col("cpp")).otherwise(0.0)
@@ -124,38 +117,29 @@ def offline_precompute(
                     for z, t in enumerate(thetas)
                 ]
             )
-            joined = (
-                bv_r.join(sup_r, on="center", how="left")
-                .join(sigma_r, on="center", how="left")
-                .withColumn("r", F.lit(r))
-            )
-            frames.append(joined.toPandas())
-        bv_d.unpersist()
-        sup_d.unpersist()
+            .withColumn("r", F.pmod("gid", F.lit(slots)).cast("int"))
+            .withColumn("center", F.expr(f"(gid - r) div {slots}"))
+            .drop("gid")
+        )
+        pdf = (
+            bv.join(sup, on=["center", "r"], how="left")
+            .join(sigma, on=["center", "r"], how="left")
+            .toPandas()
+        )
 
-    pdf = pd.concat(frames, ignore_index=True).rename(columns={"center": "vertex"})
+    pdf = pdf.rename(columns={"center": "vertex"})
     # Defensive dtype pinning: a nulls-carrying frame (or a non-Arrow
     # collection fallback) can promote int64 columns to float64; bit vectors
     # stay < 2^53 by construction (keywords.B ≤ 52) so this cast is lossless.
-    pdf["bv_r"] = pdf["bv_r"].astype("int64")
+    for col in ("bv_r", "bv_self"):
+        pdf[col] = pdf[col].astype("int64")
     pdf["ub_sup_r"] = pdf["ub_sup_r"].fillna(NO_EDGE_SUPPORT).astype("int64")
-    for z in range(len(thetas)):
-        pdf[f"sigma_{z}"] = pdf[f"sigma_{z}"].fillna(0.0)
-    # The center's own bit vector: Def. 2 requires v_q ∈ g and every vertex
-    # of g (hence the center) to hold a query keyword, so Lemma 1 applies to
-    # the center directly — a cheap, high-power keyword prune.
-    own_bv = graph.vertices.select(
-        F.col("id").alias("vertex"), F.col("bv").alias("bv_self")
-    ).toPandas()
-    pdf = pdf.merge(own_bv, on="vertex", how="left")
-    pdf["bv_self"] = pdf["bv_self"].fillna(0).astype("int64")
     pdf = pdf[
         ["vertex", "r", "bv_self", "bv_r", "ub_sup_r"]
         + [f"sigma_{z}" for z in range(len(thetas))]
     ].sort_values(["vertex", "r"]).reset_index(drop=True)
 
     support_pdf = support.toPandas()
-    membership.unpersist()
     support.unpersist()
     return Precomputed(pdf=pdf, support_pdf=support_pdf, thetas=thetas, r_max=r_max)
 

@@ -16,16 +16,16 @@ from typing import Dict, List
 
 from pyspark.sql import SparkSession
 
-from repro.core.diversify import greedy_wop, greedy_wp, optimal
-from repro.core.topl import Query, topl_icde
+from repro.core.diversify import dtopl_icde, greedy_wp, optimal
+from repro.core.topl import topl_icde
 from repro.experiments import params as P
 from repro.experiments.datasets import figure2_datasets, prepare
 from repro.experiments.runner import make_query
 from repro.influence.scores import diversity_score
 
 
-def _pool(prep, *, n: int, L: int, qseed: int, **qkw):
-    q = make_query(sigma=prep.key[3], qseed=qseed, L=L * n, **qkw)
+def _pool(prep, *, n: int, L: int, qseed: int):
+    q = make_query(sigma=prep.key[3], qseed=qseed, L=L * n)
     return topl_icde(prep.local, prep.index, q, prep.pre.thetas)
 
 
@@ -33,16 +33,9 @@ def _timed_dtopl(prep, method: str, *, n: int = P.N_DTOPL, L: int = P.L, qseeds=
     total, d_total = 0.0, 0.0
     qseeds = P.QUERY_SEEDS if qseeds is None else qseeds
     for qs in qseeds:
+        q = make_query(sigma=prep.key[3], qseed=qs, L=L, **qkw)
         t0 = time.perf_counter()
-        pool = _pool(prep, n=n, L=L, qseed=qs, **qkw)
-        if method == "wp":
-            sel = greedy_wp(pool, L)
-        elif method == "wop":
-            sel = greedy_wop(pool, L)
-        elif method == "optimal":
-            sel = optimal(pool, L)[0]
-        else:
-            raise ValueError(method)
+        sel = dtopl_icde(prep.local, prep.index, q, prep.pre.thetas, n=n, method=method)
         total += time.perf_counter() - t0
         d_total += diversity_score([c.cpp for c in sel])
     nq = len(list(qseeds))

@@ -7,8 +7,6 @@ centers at once — the standard Pregel-style rendering in the DataFrame API.
 """
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
 from pyspark.sql import DataFrame, SparkSession, functions as F
 
 from repro.sparkutil import materialize, shuffle_partitions
@@ -19,34 +17,21 @@ def multi_source_hops(
     adjacency: DataFrame,
     r_max: int,
     *,
-    centers: Optional[Iterable[int]] = None,
-    vertices: Optional[DataFrame] = None,
-    partitions: int = 16,
+    vertices: DataFrame,
 ) -> DataFrame:
     """Hop distances ``(center, v, dist)`` for ``dist ∈ [0, r_max]``.
 
-    ``adjacency`` is the symmetric ``(a, b)`` frame. Sources default to every
-    vertex appearing in ``vertices`` (an ``id`` column) or, failing that,
-    every endpoint of ``adjacency``. A row ``(c, v, d)`` means
-    ``dist(c, v) = d`` — membership of ``hop(c, r)`` is ``dist <= r``.
+    ``adjacency`` is the symmetric ``(a, b)`` frame; every ``id`` of
+    ``vertices`` is a source. A row ``(c, v, d)`` means ``dist(c, v) = d`` —
+    membership of ``hop(c, r)`` is ``dist <= r``. The result is materialised.
     """
-    if centers is not None:
-        seed = spark.createDataFrame(
-            [(int(c),) for c in centers], "center long"
-        )
-    elif vertices is not None:
-        seed = vertices.select(F.col("id").alias("center"))
-    else:
-        seed = (
-            adjacency.select(F.col("a").alias("center"))
-            .unionByName(adjacency.select(F.col("b").alias("center")))
-            .distinct()
-        )
     state = materialize(
-        seed.select("center", F.col("center").alias("v"), F.lit(0).alias("dist"))
+        vertices.select(
+            F.col("id").alias("center"), F.col("id").alias("v"), F.lit(0).alias("dist")
+        )
     )
     frontier = state
-    with shuffle_partitions(spark, partitions):
+    with shuffle_partitions(spark):
         for d in range(1, r_max + 1):
             neighbours = (
                 frontier.join(adjacency, frontier.v == adjacency.a)

@@ -27,7 +27,7 @@ from pyspark.sql import SparkSession
 from pyspark.sql import types as T
 
 from repro.core.keywords import bv_of
-from repro.graph.types import SocialGraph
+from repro.graph.types import SocialGraph, validate_frames
 
 WEIGHT_LOW = 0.5
 WEIGHT_HIGH = 0.6
@@ -180,7 +180,12 @@ def vertices_pdf(keywords: List[List[str]]) -> pd.DataFrame:
 def build_social_graph(
     spark: SparkSession, vertices: pd.DataFrame, edges: pd.DataFrame
 ) -> SocialGraph:
-    """Lift pandas vertex/edge frames into a :class:`SocialGraph`."""
+    """Lift pandas vertex/edge frames into a :class:`SocialGraph`.
+
+    Raises ValueError on frames that :func:`validate_frames` rejects, before
+    any Spark work reads them.
+    """
+    validate_frames(vertices, edges)
     return SocialGraph(
         vertices=spark.createDataFrame(vertices, schema=_VERTEX_SCHEMA),
         edges=spark.createDataFrame(edges, schema=_EDGE_SCHEMA),

@@ -22,6 +22,8 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import pandas as pd
 
+from repro.graph.types import validate_frames
+
 #: Tolerance when comparing path products (floating max-product relaxation).
 EPS = 1e-12
 
@@ -56,21 +58,11 @@ class LocalGraph:
         ``support`` (optional) is a canonical ``(u, v, support)`` frame as
         produced by :func:`repro.graph.triangles.edge_support`.
 
-        Raises ValueError on a weight outside (0, 1) (MIA threshold pruning
-        is exact only if every p < 1), a duplicate vertex id or a self loop.
+        Raises ValueError on frames that :func:`validate_frames` rejects.
         """
-        ids, w = vertices["id"], edges["weight"]
-        dup = ids[ids.duplicated()]
-        if len(dup):
-            raise ValueError(f"duplicate vertex ids: {sorted(set(dup))[:5]}")
-        bad = w[~((w > 0) & (w < 1))]
-        if len(bad):
-            raise ValueError(f"{len(bad)} edge weights outside (0, 1): {list(bad[:5])}")
-        loops = edges["src"][edges["src"] == edges["dst"]]
-        if len(loops):
-            raise ValueError(f"self loops at vertices {sorted(set(loops))[:5]}")
-        adj: Dict[int, Set[int]] = {int(i): set() for i in ids}
-        out: Dict[int, List[Tuple[int, float]]] = {int(i): [] for i in ids}
+        validate_frames(vertices, edges)
+        adj: Dict[int, Set[int]] = {int(i): set() for i in vertices["id"]}
+        out: Dict[int, List[Tuple[int, float]]] = {int(i): [] for i in vertices["id"]}
         for s, d, w in zip(edges["src"], edges["dst"], edges["weight"]):
             s, d = int(s), int(d)
             adj.setdefault(s, set()).add(d)

@@ -20,7 +20,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import pandas as pd
 from pyspark.sql import DataFrame, functions as F
+
+
+def validate_frames(vertices: pd.DataFrame, edges: pd.DataFrame) -> None:
+    """Reject pandas vertex/edge frames that break the paper's math.
+
+    Raises ValueError on a weight outside (0, 1) (NaN included: MIA threshold
+    pruning is exact only if every p < 1), a duplicate vertex id or a self
+    loop.
+    """
+    ids, w = vertices["id"], edges["weight"]
+    dup = ids[ids.duplicated()]
+    if len(dup):
+        raise ValueError(f"duplicate vertex ids: {sorted(set(dup))[:5]}")
+    bad = w[~((w > 0) & (w < 1))]
+    if len(bad):
+        raise ValueError(f"{len(bad)} edge weights outside (0, 1): {list(bad[:5])}")
+    loops = edges["src"][edges["src"] == edges["dst"]]
+    if len(loops):
+        raise ValueError(f"self loops at vertices {sorted(set(loops))[:5]}")
 
 
 @dataclass(frozen=True)

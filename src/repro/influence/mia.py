@@ -9,12 +9,12 @@ against brute-force path enumeration).
 
 One fixpoint loop over a ``(src, v, val)`` state DataFrame,
 ``maxprod_propagate``, computes per-seed-set ``cpp(g, v)`` (sources =
-community ids, ``cpp_from_seeds``). The offline precompute seeds it per
-radius with every center's r-hop members to get ``cpp(hop(v_i, r), v)`` for
-all centers at once; it is also the distributed twin of
-``LocalGraph.influence``. The loop raises if it has not converged within
-``max_iters`` rounds: a partial state underestimates cpp, and σ bounds built
-from it would prune true answers.
+community ids, ``cpp_from_seeds``). The offline precompute seeds it once
+with every (center, r) hop set as its own seed set, which gives
+``cpp(hop(v_i, r), v)`` for all centers and radii at once; it is also the
+distributed twin of ``LocalGraph.influence``. The loop raises if it has not
+converged within ``max_iters`` rounds: a partial state underestimates cpp,
+and σ bounds built from it would prune true answers.
 """
 from __future__ import annotations
 
@@ -33,7 +33,6 @@ def maxprod_propagate(
     init: DataFrame,
     theta: float,
     *,
-    partitions: int = 16,
     max_iters: int = 64,
 ) -> DataFrame:
     """Fixpoint of max-product relaxation from ``init`` states.
@@ -48,7 +47,7 @@ def maxprod_propagate(
     )
     state = materialize(init.where(F.col("val") >= theta))
     frontier = state
-    with shuffle_partitions(spark, partitions):
+    with shuffle_partitions(spark):
         for _ in range(max_iters):
             cand = (
                 frontier.join(e, frontier.v == F.col("_eu"))
@@ -88,8 +87,6 @@ def cpp_from_seeds(
     edges: DataFrame,
     seeds: DataFrame,
     theta: float,
-    *,
-    partitions: int = 16,
 ) -> DataFrame:
     """``cpp(g, v)`` for many communities at once.
 
@@ -99,5 +96,5 @@ def cpp_from_seeds(
     init = seeds.select(
         F.col("gid").alias("src"), F.col("v"), F.lit(1.0).alias("val")
     )
-    out = maxprod_propagate(spark, edges, init, theta, partitions=partitions)
+    out = maxprod_propagate(spark, edges, init, theta)
     return out.select(F.col("src").alias("gid"), "v", F.col("val").alias("cpp"))

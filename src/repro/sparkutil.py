@@ -6,9 +6,13 @@ from contextlib import contextmanager
 from pyspark.sql import DataFrame, SparkSession
 
 
+#: Shuffle partitions of the offline graph pipeline (see ``shuffle_partitions``).
+SHUFFLE_PARTITIONS = 16
+
+
 @contextmanager
-def shuffle_partitions(spark: SparkSession, n: int):
-    """Temporarily pin ``spark.sql.shuffle.partitions``.
+def shuffle_partitions(spark: SparkSession):
+    """Temporarily pin ``spark.sql.shuffle.partitions`` to ``SHUFFLE_PARTITIONS``.
 
     The iterative message-passing loops shuffle small frames many times; the
     session default (sized for SF~0.1 relational work) would spread a few
@@ -16,7 +20,7 @@ def shuffle_partitions(spark: SparkSession, n: int):
     """
     key = "spark.sql.shuffle.partitions"
     old = spark.conf.get(key)
-    spark.conf.set(key, str(n))
+    spark.conf.set(key, str(SHUFFLE_PARTITIONS))
     try:
         yield
     finally:

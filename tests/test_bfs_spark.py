@@ -54,13 +54,6 @@ def test_dist_zero_is_self(hops):
     assert zero.where(F.col("center") != F.col("v")).count() == 0
 
 
-def test_explicit_centers(spark, spark_graph, local_small):
-    got = multi_source_hops(spark, spark_graph.adjacency(), 2, centers=[3, 4])
-    assert {r.center for r in got.select("center").distinct().collect()} == {3, 4}
-    d3 = {r.v: r.dist for r in got.where(F.col("center") == 3).collect()}
-    assert d3 == local_small.khop(3, 2)
-
-
 def test_membership_is_minimum_distance(hops, local_small):
     """A vertex discovered at level d really is at shortest distance d."""
     sample = hops.where(F.col("center") == 11).collect()

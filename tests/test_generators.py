@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core.keywords import bv_of
@@ -180,3 +181,27 @@ class TestStandIns:
         g = gen.amazon_like(spark, 300, seed=1)
         assert g.num_vertices() == 300
         assert g.num_undirected_edges() > 300
+
+
+class TestBuildSocialGraph:
+    """Frames that break the math are refused before Spark sees them: the
+    builder is handed no session, so any Spark work would fail otherwise."""
+
+    @staticmethod
+    def frames(ids=(0, 1, 2), pairs=((0, 1), (1, 2)), weight=0.5):
+        verts = gen.vertices_pdf([["kw0"]] * len(ids)).assign(id=list(ids))
+        src, dst = zip(*pairs)
+        edges = pd.DataFrame({"src": src, "dst": dst, "weight": weight})
+        return verts, edges
+
+    def test_rejects_weight_one(self):
+        with pytest.raises(ValueError, match="weight"):
+            gen.build_social_graph(None, *self.frames(weight=1.0))
+
+    def test_rejects_duplicate_vertex_id(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            gen.build_social_graph(None, *self.frames(ids=(0, 1, 1)))
+
+    def test_rejects_self_loop(self):
+        with pytest.raises(ValueError, match="self loop"):
+            gen.build_social_graph(None, *self.frames(pairs=((0, 1), (2, 2))))

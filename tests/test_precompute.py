@@ -2,12 +2,17 @@
 definitions and must be *valid upper bounds* for every true seed community."""
 from __future__ import annotations
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.keywords import bv_of
-from repro.core.precompute import NO_EDGE_SUPPORT, z_index
+from repro.core.precompute import NO_EDGE_SUPPORT, offline_precompute, z_index
+from repro.experiments import params as P
+from repro.graph import generators as gen
+from repro.graph.local import LocalGraph
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +74,7 @@ def test_ub_sup_r_is_max_induced_support(pre, local, center, r):
 
 
 @pytest.mark.parametrize("center", SAMPLE_CENTERS[:4])
-@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("z", [0, 1, 2])
 def test_sigma_z_equals_local_influence_of_hop(pre, local, center, r, z):
     members = set(local.khop(center, r))
@@ -123,6 +128,38 @@ def test_support_pdf_matches_local(pre, local):
         )
     }
     assert got == local.induced_support(set(local.adj))
+
+
+@pytest.fixture(scope="module")
+def k4_pendant_isolated(spark):
+    """K4 on 0..3, a pendant 4 attached to 0, an isolated 5; one keyword each."""
+    verts = gen.vertices_pdf([[f"kw{i}"] for i in range(6)])
+    pairs = list(itertools.combinations(range(4), 2)) + [(0, 4)]
+    edges = gen.directed_weighted_edges(np.array(pairs), seed=3)
+    graph = gen.build_social_graph(spark, verts, edges)
+    pre = offline_precompute(spark, graph, r_max=P.R_MAX, thetas=P.THETAS)
+    return pre, LocalGraph.from_pandas(verts, edges)
+
+
+def test_hand_built_graph(k4_pendant_isolated):
+    pre, local = k4_pendant_isolated
+    assert sorted(zip(pre.pdf["vertex"], pre.pdf["r"])) == [
+        (v, r) for v in range(6) for r in range(1, pre.r_max + 1)
+    ]
+    for r in range(1, pre.r_max + 1):
+        iso = row_of(pre, 5, r)
+        assert int(iso["bv_r"]) == int(iso["bv_self"]) == local.bv[5]
+        assert int(iso["ub_sup_r"]) == NO_EDGE_SUPPORT
+        assert [float(iso[f"sigma_{z}"]) for z in range(len(pre.thetas))] == [1.0] * 3
+        assert int(row_of(pre, 4, r)["ub_sup_r"]) == (0 if r == 1 else 2)
+    for _, row in pre.pdf.iterrows():
+        members = local.khop(int(row["vertex"]), int(row["r"]))
+        want_bv = 0
+        for v in members:
+            want_bv |= local.bv[v]
+        assert int(row["bv_r"]) == want_bv
+        for z, theta in enumerate(pre.thetas):
+            assert row[f"sigma_{z}"] == pytest.approx(local.sigma(members, theta), rel=1e-9)
 
 
 class TestZIndex:
