@@ -6,6 +6,11 @@ Lemmas 5–7, leaf vertices with Lemmas 1/2/4; surviving centers are refined —
 maximal seed community extraction (Def. 2 fixpoint) plus the exact
 ``calculate_influence`` — against the driver-side graph snapshot.
 
+At the leaves the support family (Lemma 2) is exact: the query's keyword
+k-truss T_k(G_Q) is peeled once per query (:meth:`LocalGraph.keyword_truss`),
+a center with no edge in it is charged to ``PruningStats.support``, and the
+others extract their communities on its edges (DESIGN.md §4).
+
 The traversal terminates early as soon as the popped key cannot beat the
 current top-L floor σ_L (heap order ⇒ nothing later can either).
 
@@ -152,6 +157,10 @@ def topl_icde(
             return "score"
         return None
 
+    # Lemma 2 at the leaves: every seed community lies in T_k(G_Q), so a
+    # center outside it hosts none, and the rest extract on its edges.
+    view = local.keyword_truss(query.keywords, query.k) if use_support else local
+
     heap: List[tuple] = [(-index.sigma[ri][z], next(tiebreak), index)]
     while heap:
         neg_key, _, node = heapq.heappop(heap)
@@ -168,9 +177,11 @@ def topl_icde(
                 setattr(stats, reason, getattr(stats, reason) + item.size)
             elif not node.is_leaf:
                 heapq.heappush(heap, (-item.sigma[ri][z], next(tiebreak), item))
+            elif item.vertex not in view.adj:
+                stats.support += 1
             else:
                 stats.refined += 1
-                comm = refine(local, item.vertex, query, seen)
+                comm = refine(view, item.vertex, query, seen)
                 if comm is None:
                     continue
                 if len(results) < query.L:

@@ -5,7 +5,9 @@ Three cumulative combinations, each adding one pruning family:
 (score includes the Lemma-7 heap early stop — it is the same bound).
 Reported per combination: candidates pruned (Fig. 4a) and online wall clock
 (Fig. 4b). Paper shape: each added strategy prunes more (score pruning adds
-the most) and lowers the time.
+the most) and lowers the time. The support family prunes at the leaves with
+the per-query T_k(G_Q) membership test, so its bar is not 0 even where the
+index-level ``ub_sup_r`` bound never fires.
 """
 from __future__ import annotations
 

@@ -10,14 +10,15 @@ the *offline* phase (and all bulk work) uses the Spark implementations in
 
 Everything here is pure Python + stdlib (heapq), deterministic, and sized for
 graphs that fit comfortably on the driver (≤ a few hundred thousand edges).
-Seed-community extraction, :meth:`LocalGraph.ktruss` and hence ATindex's
+Seed-community extraction, :meth:`LocalGraph.ktruss`, the per-query
+keyword truss view (:meth:`LocalGraph.keyword_truss`) and hence ATindex's
 edge trussness share one queue-based k-truss peel (:class:`_Peel`) that
 counts support once and updates it as edges leave.
 """
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import pandas as pd
@@ -143,19 +144,40 @@ class LocalGraph:
         """Neighbour map of the induced subgraph on ``vset``."""
         return {v: self.adj[v] & vset for v in vset}
 
+    def _truss_nbr(self, vset: Set[int], k: int) -> Dict[int, Set[int]]:
+        """Neighbour map of the maximal k-truss of the induced subgraph on
+        ``vset``: edges with support < k-2 (paper Def. 2 / Lemma 2) peeled
+        by :class:`_Peel`, vertices left without edges dropped."""
+        nbr = self._nbr(vset)
+        _Peel(nbr, k).run()
+        return {u: nu for u, nu in nbr.items() if nu}
+
     def ktruss(
         self, vset: Set[int], k: int
     ) -> Tuple[Set[int], Set[Tuple[int, int]]]:
         """Maximal k-truss of the induced subgraph on ``vset``.
 
-        Peels edges with support < k-2 (paper Def. 2 / Lemma 2) with
-        :class:`_Peel`, then drops isolated vertices. Returns (vertices,
-        canonical edges).
+        Returns (vertices, canonical edges).
         """
-        nbr = self._nbr(vset)
-        _Peel(nbr, k).run()
-        alive = {u for u, nu in nbr.items() if nu}
-        return alive, {(u, v) for u in alive for v in nbr[u] if u < v}
+        nbr = self._truss_nbr(vset, k)
+        return set(nbr), {(u, v) for u, nu in nbr.items() for v in nu if u < v}
+
+    def keyword_truss(self, query: Set[str], k: int) -> "LocalGraph":
+        """View of T_k(G_Q): the maximal k-truss of the subgraph induced by
+        the vertices holding a query keyword.
+
+        Every seed community of (``query``, k) is a k-truss inside G_Q, so
+        its edges all lie in T_k(G_Q); it has radius ≤ r over its own edges,
+        so the depth-r BFS over the view reaches all of it. Hence
+        :meth:`seed_community` on the view returns what it returns on the
+        full graph, and None at every vertex the view lacks. Attributed
+        truss community search peels the query's subgraph the same way
+        (Huang & Lakshmanan, VLDB 2017). The view shares ``out``,
+        ``keywords`` and ``bv`` with this graph, so influence is unchanged.
+        """
+        kw = self.keywords
+        vq = {v for v in self.adj if not kw.get(v, _NO_KEYWORDS).isdisjoint(query)}
+        return replace(self, adj=self._truss_nbr(vq, k))
 
     # ----------------------------------------------------------------- k-core
     def kcore(self, vset: Set[int], k: int) -> Set[int]:

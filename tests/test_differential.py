@@ -6,17 +6,27 @@ the clique-affiliation stand-ins and on Zipf keywords, not only on the NWS
 Uniform fixture. The last two share the refinement kernel and the ranking
 rule, and every center of a k-truss community has trussness ≥ k, so they
 must also return the same vertex sets in the same order.
+
+Two hand-made graphs go through the same offline pipeline: tied σ (two
+disjoint isomorphic K5s), where a discovery-order bug would show, and
+weights of 0.999, where every path clears θ and the σ bounds are loosest.
 """
 from __future__ import annotations
 
+import itertools
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.baseline import atindex_offline, atindex_query
+from repro.core.index import build_index
+from repro.core.precompute import offline_precompute
 from repro.core.topl import Query, brute_force_topl, topl_icde
 from repro.experiments import params as P
 from repro.experiments.datasets import prepare
+from repro.graph import generators as gen
+from repro.graph.local import LocalGraph
 
 DATASETS = {
     "dblp": dict(kind="dblp"),
@@ -67,3 +77,62 @@ def test_queries_have_answers(prep):
         for q in random_queries(4, seed)
     ]
     assert sum(1 for a in found if a) >= 3
+
+
+def two_tied_k5s():
+    """K5s on 0..4 and 5..9, every vertex holding kw1, every weight 0.55."""
+    verts = gen.vertices_pdf([["kw1", f"kw{2 + v % 2}"] for v in range(10)])
+    pairs = [
+        (a + base, b + base)
+        for base in (0, 5)
+        for a, b in itertools.combinations(range(5), 2)
+    ]
+    return verts, gen.directed_weighted_edges(np.array(pairs)).assign(weight=0.55)
+
+
+def weights_near_one():
+    """A 30-vertex clique-affiliation graph with every weight 0.999."""
+    und = gen.clique_affiliation_edges(30, n_cliques=24, seed=21)
+    verts = gen.vertices_pdf(gen.assign_keywords(30, 4, 2, "uniform", seed=22))
+    return verts, gen.directed_weighted_edges(und).assign(weight=0.999)
+
+
+@pytest.fixture(
+    scope="module", params=[two_tied_k5s, weights_near_one], ids=["tied-sigma", "weights-0.999"]
+)
+def hand_made(request, spark):
+    verts, edges = request.param()
+    graph = gen.build_social_graph(spark, verts, edges)
+    pre = offline_precompute(spark, graph, r_max=P.R_MAX, thetas=P.THETAS)
+    local = LocalGraph.from_pandas(verts, edges)
+    return local, build_index(pre), atindex_offline(spark, graph)
+
+
+def test_hand_made_graphs_agree(hand_made):
+    local, index, vtruss = hand_made
+    vocab = sorted({w for kws in local.keywords.values() for w in kws})
+    rng = random.Random(23)
+    answered = 0
+    for _ in range(40):
+        q = Query(
+            keywords=frozenset(rng.sample(vocab, rng.randint(1, 2))),
+            k=rng.randint(2, 5),
+            r=rng.randint(1, 3),
+            theta=rng.choice((0.1, 0.2, 0.3, 0.45)),
+            L=rng.randint(1, 4),
+        )
+        fast = topl_icde(local, index, q, P.THETAS)
+        brute = brute_force_topl(local, q)
+        atindex = atindex_query(local, vtruss, q)
+        assert sigmas(fast) == sigmas(brute) == sigmas(atindex), q
+        assert [c.vertices for c in brute] == [c.vertices for c in atindex], q
+        answered += bool(brute)
+    assert answered >= 10, "too few queries found a community"
+
+
+def test_tied_sigma_is_a_tie():
+    """Guard: the two K5s really tie, so L=1 must pick between equals."""
+    local = LocalGraph.from_pandas(*two_tied_k5s())
+    a, b = brute_force_topl(local, Query(frozenset({"kw1"}), 5, 1, 0.2, 2))
+    assert {a.vertices, b.vertices} == {frozenset(range(5)), frozenset(range(5, 10))}
+    assert round(a.sigma, 9) == round(b.sigma, 9)

@@ -75,6 +75,21 @@ def reference_seed_community(g: LocalGraph, center, r, k, query):
     return None
 
 
+@pytest.fixture(scope="module")
+def generated_graphs(local_small, local_medium):
+    """NWS Uniform (120 and 400 vertices), NWS Zipf and clique-affiliation."""
+    cliques = gen.clique_affiliation_edges(200, n_cliques=200, seed=13)
+    return [
+        local_small,
+        local_medium,
+        LocalGraph.from_pandas(*gen.pandas_social_network(200, dist="zipf", seed=11)),
+        LocalGraph.from_pandas(
+            gen.vertices_pdf(gen.assign_keywords(200, 20, 3, "uniform", seed=14)),
+            gen.directed_weighted_edges(cliques, seed=15),
+        ),
+    ]
+
+
 K5_EDGES = list(itertools.combinations(range(5), 2))
 PATH = [(0, 1), (1, 2), (2, 3), (3, 4)]
 RING6 = [(i, (i + 1) % 6) for i in range(6)]
@@ -349,22 +364,12 @@ class TestSeedCommunity:
             assert max(dist.values()) <= 2
         assert checked > 0, "fixture produced no communities to validate"
 
-    def test_matches_reference_fixpoint(self, local_small, local_medium):
+    def test_matches_reference_fixpoint(self, generated_graphs):
         """Equal to the plainly written fixpoint on every center, for seeded
         random (Q, k, r) on NWS Uniform, NWS Zipf and clique-affiliation
         graphs."""
-        cliques = gen.clique_affiliation_edges(200, n_cliques=200, seed=13)
-        graphs = [
-            local_small,
-            local_medium,
-            LocalGraph.from_pandas(*gen.pandas_social_network(200, dist="zipf", seed=11)),
-            LocalGraph.from_pandas(
-                gen.vertices_pdf(gen.assign_keywords(200, 20, 3, "uniform", seed=14)),
-                gen.directed_weighted_edges(cliques, seed=15),
-            ),
-        ]
         rng = random.Random(17)
-        for g in graphs:
+        for g in generated_graphs:
             vocab = sorted({w for kws in g.keywords.values() for w in kws})
             outcomes = set()
             for _ in range(6):
@@ -406,3 +411,50 @@ class TestSeedCommunity:
             vs, es = local_medium.ktruss(set(got), 4)
             assert vs == set(got)
             break
+
+
+class TestKeywordTruss:
+    """The view T_k(G_Q) extracts exactly what the full graph extracts."""
+
+    def test_view_matches_full_graph(self, generated_graphs):
+        rng = random.Random(29)
+        for g in generated_graphs:
+            vocab = sorted({w for kws in g.keywords.values() for w in kws})
+            cut = 0
+            for _ in range(12):
+                query = set(rng.sample(vocab, rng.randint(1, 6)))
+                k, r = rng.randint(2, 6), rng.randint(1, 3)
+                view = g.keyword_truss(query, k)
+                vq = {v for v in g.adj if g.keywords[v] & query}
+                _, want_edges = g.ktruss(vq, k)
+                assert set(view.undirected_edges()) == want_edges
+                assert view.out is g.out and view.keywords is g.keywords
+                for center in g.vertices():
+                    got = g.seed_community(center, r, k, query)
+                    if center not in view.adj:
+                        assert got is None, (center, r, k, query)
+                        continue
+                    assert view.seed_community(center, r, k, query) == got, (
+                        center, r, k, query,
+                    )
+                    cut += view.adj[center] != g.adj[center] & vq
+            assert cut > 0, "the view never cut a surviving center's adjacency"
+
+    def test_dangling_keyword_path_dropped(self):
+        """Keyword K4 on 0..3 with keyword path 3-4-5; vertex 6 lacks the
+        keyword and closes triangle 4-5-6. In G_Q the path is in no
+        triangle, so the view keeps the K4 alone."""
+        kws = {v: ["kw1"] for v in range(6)}
+        kws[6] = ["kw9"]
+        g = make_local(
+            list(itertools.combinations(range(4), 2)) + [(3, 4), (4, 5), (4, 6), (5, 6)],
+            keywords=kws,
+        )
+        view = g.keyword_truss({"kw1"}, 3)
+        assert set(view.adj) == {0, 1, 2, 3}
+        assert view.adj[3] == {0, 1, 2}
+        for center in (4, 5):
+            assert g.seed_community(center, 2, 3, {"kw1"}) is None
+            assert view.seed_community(center, 2, 3, {"kw1"}) is None
+        assert view.seed_community(0, 2, 3, {"kw1"}) == frozenset(range(4))
+        assert g.seed_community(0, 2, 3, {"kw1"}) == frozenset(range(4))

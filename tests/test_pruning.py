@@ -6,6 +6,7 @@ community that belongs in the brute-force top-L answer.
 from __future__ import annotations
 
 import math
+from dataclasses import astuple
 
 import pytest
 
@@ -116,3 +117,47 @@ class TestSafety:
         n = len(prepared_small.local.adj)
         assert st.refined + st.total_pruned <= n
         assert st.refined >= 0 and st.total_pruned >= 0
+
+
+class TestSupportAccounting:
+    """The leaf-level support family is the T_k(G_Q) membership test."""
+
+    QUERIES = TestSafety.QUERIES
+
+    def stats_of(self, prepared, q, **flags):
+        st = PruningStats()
+        topl_icde(prepared.local, prepared.index, q, prepared.pre.thetas, stats=st, **flags)
+        return st
+
+    def test_support_fires_with_default_flags(self, prepared_small):
+        """The answers stay exact: TestSafety runs the same queries."""
+        assert any(self.stats_of(prepared_small, q).support > 0 for q in self.QUERIES)
+
+    #: ``astuple(PruningStats)`` — (keyword, support, score, heap_terminated,
+    #: refined, visited_nodes) — per query with the support family off.
+    #: Pinned: with it off, nothing of the traversal may depend on the
+    #: T_k(G_Q) peel.
+    WITHOUT_SUPPORT = {
+        "kw": [(54, 0, 0, 0, 96, 17), (102, 0, 0, 0, 48, 16), (94, 0, 0, 0, 56, 17),
+               (127, 0, 0, 0, 23, 15)],
+        "kw+score": [(54, 0, 0, 0, 96, 17), (97, 0, 1, 9, 43, 16), (94, 0, 0, 0, 56, 17),
+                     (127, 0, 0, 0, 23, 15)],
+    }
+
+    @pytest.mark.parametrize("combo", list(WITHOUT_SUPPORT))
+    def test_support_off_is_unchanged(self, prepared_small, combo):
+        got = [
+            astuple(self.stats_of(prepared_small, q, use_support=False,
+                                  use_score=combo == "kw+score"))
+            for q in self.QUERIES
+        ]
+        assert got == self.WITHOUT_SUPPORT[combo]
+
+    def test_support_refines_fewer(self, prepared_small):
+        fewer = 0
+        for q in self.QUERIES:
+            kw = self.stats_of(prepared_small, q, use_support=False, use_score=False)
+            kw_sup = self.stats_of(prepared_small, q, use_score=False)
+            assert kw_sup.refined + kw_sup.support == kw.refined
+            fewer += kw_sup.refined < kw.refined
+        assert fewer > 0
