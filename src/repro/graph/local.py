@@ -1,19 +1,23 @@
 """Driver-side graph snapshot and reference algorithms.
 
 The online TopL-ICDE phase (paper Alg. 3) is a latency-sensitive best-first
-search: per candidate center it extracts a seed community and runs a
-Dijkstra-style influence computation. Doing that as per-candidate Spark jobs
-would add seconds of scheduling overhead per candidate, so — as documented in
-DESIGN.md §3 — the online phase runs against this collected snapshot, while
-the *offline* phase (and all bulk work) uses the Spark implementations in
-``graph/``/``influence/``. Tests assert the two agree.
+search: per candidate center it extracts a seed community and computes its
+influence. Doing that as per-candidate Spark jobs would add seconds of
+scheduling overhead per candidate, so — as documented in DESIGN.md §3 — the
+online phase runs against this collected snapshot, while the *offline* phase
+(and all bulk work) uses the Spark implementations in ``graph/`` and
+``influence/``. Tests assert the two agree.
 
 Everything here is pure Python + stdlib (heapq), deterministic, and sized for
 graphs that fit comfortably on the driver (≤ a few hundred thousand edges).
 Seed-community extraction, :meth:`LocalGraph.ktruss`, the per-query
 keyword truss view (:meth:`LocalGraph.keyword_truss`) and hence ATindex's
 edge trussness share one queue-based k-truss peel (:class:`_Peel`) that
-counts support once and updates it as edges leave.
+counts support once and updates it as edges leave. Influence
+(:meth:`LocalGraph.influence`) merges per-source maximum influence
+out-arborescences, each built once by a max-product Dijkstra and memoised
+on the graph (shared with its keyword truss views), so communities that
+share seed vertices, within a query or across queries, reuse them.
 """
 from __future__ import annotations
 
@@ -45,6 +49,12 @@ class LocalGraph:
     bv: Dict[int, int]
     #: global edge support (paper's ub_sup(e) upper bound), canonical (u<v)
     support: Dict[Tuple[int, int], int] = field(default_factory=dict)
+    #: memo of :meth:`influence`: source -> (lowest θ asked, MIOA(source, θ)
+    #: in preorder). ``init=True`` so that :meth:`keyword_truss`'s views,
+    #: built by ``dataclasses.replace``, share it with this graph.
+    _arbo: Dict[int, Tuple[float, List[Tuple[float, int, int]]]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------ build
     @classmethod
@@ -173,7 +183,9 @@ class LocalGraph:
         full graph, and None at every vertex the view lacks. Attributed
         truss community search peels the query's subgraph the same way
         (Huang & Lakshmanan, VLDB 2017). The view shares ``out``,
-        ``keywords`` and ``bv`` with this graph, so influence is unchanged.
+        ``keywords``, ``bv`` and the influence memo with this graph, so
+        influence is unchanged and arborescences built through either serve
+        both.
         """
         kw = self.keywords
         vq = {v for v in self.adj if not kw.get(v, _NO_KEYWORDS).isdisjoint(query)}
@@ -251,27 +263,84 @@ class LocalGraph:
     def influence(self, seed: Iterable[int], theta: float) -> Dict[int, float]:
         """``cpp(g, v)`` for every v in the influenced community ``g^Inf``.
 
-        Multi-source max-product Dijkstra under the MIA model: seeds start at
-        1.0; relaxation along directed edges multiplies by ``p_uv``; states
-        below ``theta`` are pruned. Because all weights are < 1, path
-        products strictly decrease along a path, so every prefix of a maximum
-        influence path with endpoint ≥ theta also scores ≥ theta — the
-        threshold pruning is exact (tested against brute-force enumeration).
+        Under MIA, ``cpp(g, v) = max_{u∈g} upp(u, v)``, so this merges the
+        seeds' maximum influence out-arborescences MIOA(u, θ) (Chen, Wang &
+        Wang, KDD 2010), each built once by :meth:`_arborescence` and kept
+        in ``_arbo``. Seeds keep cpp = 1. Each seed's tree is walked in
+        preorder; an entry below ``theta``, or no better than what ``best``
+        already holds, is skipped together with its subtree. The result
+        equals the multi-source max-product Dijkstra fixpoint:
+
+        1. The max over sources of single-source path products is the
+           multi-source fixpoint.
+        2. Weights are < 1, so p strictly decreases down a tree. Hence the
+           tree built at θ′ ≤ θ, cut at p ≥ θ, is the θ-tree, and an entry
+           below θ has its whole subtree below θ.
+        3. If ``best[v] ≥ p_u(v)``, the source (or seed) that set ``best[v]``
+           reaches every descendant d at least as well:
+           ``p_u(d) = p_u(v)·π(v→d) ≤ best[v]·π(v→d)``. So skipping u's
+           subtree below v loses nothing.
+
+        A fresh dict is returned on every call.
         """
-        best: Dict[int, float] = {v: 1.0 for v in seed}
-        heap = [(-1.0, v) for v in best]
-        heapq.heapify(heap)
-        while heap:
-            negp, u = heapq.heappop(heap)
-            p = -negp
-            if p < best.get(u, 0.0) - EPS:
-                continue  # stale entry
-            for v, w in self.out.get(u, []):
-                q = p * w
-                if q >= theta and q > best.get(v, 0.0) + EPS:
-                    best[v] = q
-                    heapq.heappush(heap, (-q, v))
+        best: Dict[int, float] = dict.fromkeys(seed, 1.0)
+        get, memo = best.get, self._arbo
+        for u in list(best):
+            built = memo.get(u)
+            if built is None or built[0] > theta:
+                built = memo[u] = (theta, self._arborescence(u, theta))
+            tree = built[1]
+            i, n = 0, len(tree)
+            while i < n:
+                p, v, end = tree[i]
+                if p > get(v, 0.0) and p >= theta:
+                    best[v] = p
+                    i += 1
+                else:
+                    i = end
         return best
+
+    def _arborescence(self, src: int, theta: float) -> List[Tuple[float, int, int]]:
+        """MIOA(src, θ) as ``(p, v, end)`` in preorder, the root left out.
+
+        Max-product Dijkstra from ``src``: relaxation along directed edges
+        multiplies by ``p_uv``, and states below ``theta`` are pruned — exact,
+        because with weights < 1 every prefix of a maximum influence path
+        with endpoint ≥ θ also scores ≥ θ. ``p = upp(src, v)``, and
+        ``tree[i:end]`` is v's subtree. The preorder is built iteratively,
+        as a tree can be as deep as the graph is long.
+        """
+        out, pop, push = self.out, heapq.heappop, heapq.heappush
+        best = {src: 1.0}
+        get = best.get
+        parent: Dict[int, int] = {}
+        heap = [(-1.0, src)]
+        while heap:
+            negp, u = pop(heap)
+            p = -negp
+            if p < best[u] - EPS:
+                continue  # stale entry
+            for v, w in out.get(u, ()):
+                q = p * w
+                if q >= theta and q > get(v, 0.0) + EPS:
+                    best[v] = q
+                    parent[v] = u
+                    push(heap, (-q, v))
+        kids: Dict[int, List[int]] = {}
+        for v, u in parent.items():
+            kids.setdefault(u, []).append(v)
+        order: List[int] = []
+        stack = kids.get(src, [])
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            stack.extend(kids.get(v, ()))
+        size = dict.fromkeys(order, 1)
+        for v in reversed(order):
+            u = parent[v]
+            if u != src:
+                size[u] += size[v]
+        return [(best[v], v, i + size[v]) for i, v in enumerate(order)]
 
     def sigma(self, seed: Iterable[int], theta: float) -> float:
         """Influential score σ(g) = Σ_{v∈g^Inf} cpp(g, v) (paper Eq. 5)."""

@@ -44,6 +44,21 @@ def local_medium() -> LocalGraph:
     return _local_graph(400, seed=9)
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """Sources whose influence arborescence ``LocalGraph`` builds during the
+    test, in call order."""
+    built = []
+    build = LocalGraph._arborescence
+
+    def counting(self, src, theta):
+        built.append(src)
+        return build(self, src, theta)
+
+    monkeypatch.setattr(LocalGraph, "_arborescence", counting)
+    return built
+
+
 @pytest.fixture(scope="session")
 def tiny_frames():
     """A hand-checkable 30-vertex graph as (vertices, edges) pandas frames."""

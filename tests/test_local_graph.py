@@ -90,6 +90,11 @@ def generated_graphs(local_small, local_medium):
     ]
 
 
+def fresh(g: LocalGraph) -> LocalGraph:
+    """The same graph with an empty influence memo."""
+    return LocalGraph(adj=g.adj, out=g.out, keywords=g.keywords, bv=g.bv)
+
+
 K5_EDGES = list(itertools.combinations(range(5), 2))
 PATH = [(0, 1), (1, 2), (2, 3), (3, 4)]
 RING6 = [(i, (i + 1) % 6) for i in range(6)]
@@ -255,18 +260,20 @@ class TestInfluence:
             assert got[v] == pytest.approx(want[v], abs=1e-12)
 
     def test_multi_source_is_pointwise_max(self, tiny_frames):
+        """cpp(g, v) = max over seeds u of upp(u, v), with each upp taken by
+        brute-force path enumeration."""
         verts, edges = tiny_frames
         g = LocalGraph.from_pandas(verts, edges)
         seeds = [0, 5, 9]
-        got = g.influence(seeds, 0.15)
-        singles = [g.influence([s], 0.15) for s in seeds]
-        want = {}
-        for m in singles:
-            for v, p in m.items():
-                want[v] = max(want.get(v, 0.0), p)
-        assert set(got) == set(want)
-        for v in want:
-            assert got[v] == pytest.approx(want[v], abs=1e-12)
+        for theta in (0.1, 0.15, 0.3):
+            got = g.influence(seeds, theta)
+            want = {}
+            for s in seeds:
+                for v, p in self.brute_force_upp(g, s, theta).items():
+                    want[v] = max(want.get(v, 0.0), p)
+            assert set(got) == set(want)
+            for v in want:
+                assert got[v] == pytest.approx(want[v], abs=1e-12)
 
     def test_seeds_have_cpp_one(self, local_small):
         got = local_small.influence([3, 4, 5], 0.2)
@@ -296,6 +303,75 @@ class TestInfluence:
         got = g.influence([0], 0.05)
         assert got[2] == pytest.approx(0.6 * 0.5)
         assert got[3] == pytest.approx(0.6 * 0.5 * 0.58)
+
+    def test_call_history_does_not_change_results(self, local_medium):
+        """The memo keeps each source's tree at the lowest θ asked; any
+        order of θ gives what a graph with an empty memo gives."""
+        rng = random.Random(21)
+        vs = sorted(local_medium.adj)
+        seed_sets = [rng.sample(vs, rng.randint(1, 12)) for _ in range(20)]
+        for thetas in ([0.3, 0.1, 0.3], [0.1, 0.3]):
+            g = fresh(local_medium)
+            for theta in thetas:
+                for s in seed_sets:
+                    assert g.influence(s, theta) == fresh(local_medium).influence(s, theta)
+
+    def test_long_path_is_not_recursive(self):
+        """A 1,500-vertex path with weights 0.999 keeps every vertex above
+        θ = 0.1, so its arborescence is 1,499 levels deep."""
+        n = 1500
+        edges = [(i, i + 1) for i in range(n - 1)]
+        w = {e: 0.999 for u, v in edges for e in ((u, v), (v, u))}
+        got = make_local(edges, weights=w).influence([0], 0.1)
+        assert len(got) == n
+        for d in (1, 10, 750, n - 1):
+            assert got[d] == pytest.approx(0.999**d, rel=1e-9)
+
+    def test_returned_dict_is_the_callers(self, local_small):
+        """Mutating a result does not reach the memo or a later call."""
+        g = fresh(local_small)
+        want = g.influence([0, 1, 2], 0.2)
+        first = g.influence([0, 1, 2], 0.2)
+        first.clear()
+        other = g.influence([1, 7], 0.2)
+        other[1] = 0.0
+        other[7] = 5.0
+        assert g.influence([0, 1, 2], 0.2) == want
+        assert g.influence([1, 7], 0.2) == fresh(local_small).influence([1, 7], 0.2)
+
+
+class TestInfluenceMemo:
+    def test_keyword_truss_view_shares_memo(self, local_medium, builds):
+        g = fresh(local_medium)
+        query, k, r = {"kw0", "kw1", "kw2", "kw3", "kw4"}, 3, 2
+        view = g.keyword_truss(query, k)
+        comms = {view.seed_community(c, r, k, query) for c in view.adj} - {None}
+        assert len(comms) > 5
+        warm = [g.influence(c, 0.2) for c in comms]
+        assert builds
+        builds.clear()
+        assert [view.influence(c, 0.2) for c in comms] == warm
+        assert builds == []
+        other = next(v for v in g.adj if v not in g._arbo)
+        view.influence([other], 0.2)
+        g.influence([other], 0.2)
+        assert builds == [other]
+
+    def test_lower_theta_rebuilds_touched_sources_only(self, local_medium, builds):
+        g = fresh(local_medium)
+        warm = sorted(local_medium.adj)[:40]
+        for v in warm:
+            g.influence([v], 0.3)
+        assert builds == warm
+        builds.clear()
+        low = warm[5:12]
+        g.influence(low, 0.1)
+        assert sorted(builds) == low
+        builds.clear()
+        g.influence(warm, 0.3)
+        g.influence(low, 0.2)
+        assert builds == []
+        assert {v for v in warm if g._arbo[v][0] == 0.1} == set(low)
 
 
 class TestSeedCommunity:

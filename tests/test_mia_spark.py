@@ -2,10 +2,13 @@
 Dijkstra reference, and brute-force path enumeration."""
 from __future__ import annotations
 
+import random
+
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.graph import generators as gen
 from repro.graph.local import LocalGraph
 from repro.influence.mia import cpp_from_seeds, maxprod_propagate
 from repro.oracle import assert_equivalent
@@ -85,6 +88,35 @@ def test_cpp_from_seeds_matches_local(spark, spark_graph, local_small):
     g2 = {r.v: r.cpp for r in got.where(F.col("gid") == 2).collect()}
     want2 = local_small.influence([50], 0.2)
     assert set(g2) == set(want2)
+
+
+def test_cpp_from_seeds_matches_local_on_cliques(spark):
+    """Large seed sets on a clique-affiliation graph, where most of a seed's
+    influence arborescence is dominated by other seeds' and skipped."""
+    n = 80
+    verts = gen.vertices_pdf(gen.assign_keywords(n, 20, 3, "uniform", seed=31))
+    edges = gen.directed_weighted_edges(
+        gen.clique_affiliation_edges(n, n_cliques=70, seed=30), seed=32
+    )
+    local = LocalGraph.from_pandas(verts, edges)
+    rng = random.Random(33)
+    groups = {gid: rng.sample(range(n), rng.randint(20, 35)) for gid in range(4)}
+    seeds = spark.createDataFrame(
+        pd.DataFrame(
+            [(gid, v) for gid, vs in groups.items() for v in vs], columns=["gid", "v"]
+        )
+    )
+    graph = gen.build_social_graph(spark, verts, edges)
+    for theta in (0.1, 0.2):
+        got = cpp_from_seeds(spark, graph.edges, seeds, theta).collect()
+        for gid, vs in groups.items():
+            by_spark = {r.v: r.cpp for r in got if r.gid == gid}
+            want = local.influence(vs, theta)
+            assert set(by_spark) == set(want)
+            for v in want:
+                assert by_spark[v] == pytest.approx(want[v], abs=1e-9)
+            walked = sum(len(local._arborescence(u, theta)) for u in vs)
+            assert walked > 3 * len(want)
 
 
 def test_sigma_from_cpp_matches_local(spark, spark_graph, local_small):

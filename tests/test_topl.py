@@ -124,6 +124,20 @@ class TestBehaviour:
         ]
 
 
+def test_repeated_query_builds_no_arborescence(prepared_small, builds):
+    """A query asked again at the same θ finds every source's influence
+    arborescence in the memo that the keyword truss view shares."""
+    q = q_default(theta=0.15)
+    want = run(prepared_small, q)
+    assert want
+    builds.clear()
+    got = run(prepared_small, q)
+    assert builds == []
+    assert [(c.vertices, c.sigma, c.cpp) for c in got] == [
+        (c.vertices, c.sigma, c.cpp) for c in want
+    ]
+
+
 def test_rank_keeps_smallest_center_per_vertex_set():
     """``rank`` merges refinement results from several workers: one entry
     per vertex set (its smallest center), ordered by (−σ, center)."""
