@@ -4,7 +4,8 @@ Leaf nodes hold per-vertex entries (bit vector, support bound, σ_z bounds per
 radius); non-leaf entries hold the OR / max aggregates of their subtree plus a
 child pointer. Construction follows the paper: vertices are sorted by the
 average of their (normalised) support and score bounds, then recursively
-split into ``fanout`` contiguous partitions.
+split into ``fanout`` contiguous partitions. Every node covers one slice of
+that sorted order, so its bounds are one OR / max reduction over the slice.
 
 The index is built over the *collected* aggregates (|V|·r_max rows — a few
 hundred KB at our scales), matching the paper's in-memory index.
@@ -12,12 +13,11 @@ hundred KB at our scales), matching the paper's in-memory index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
-import pandas as pd
 
-from repro.core.precompute import NO_EDGE_SUPPORT, Precomputed
+from repro.core.precompute import Precomputed
 
 DEFAULT_FANOUT = 16
 
@@ -64,25 +64,11 @@ class IndexNode:
         return 1 if self.is_leaf else 1 + max(c.height() for c in self.children)
 
 
-def _aggregate(items: Sequence, r_max: int, m: int) -> dict:
-    """OR / max aggregates over leaf entries or child nodes (both carry
-    ``bv_self``, ``bv``, ``ub_sup`` and ``sigma``), as ``IndexNode`` fields."""
-    bv_self = 0
-    bv = [0] * r_max
-    sup = [NO_EDGE_SUPPORT] * r_max
-    sig = [[0.0] * m for _ in range(r_max)]
-    for item in items:
-        bv_self |= int(item.bv_self)
-        for ri in range(r_max):
-            bv[ri] |= int(item.bv[ri])
-            sup[ri] = max(sup[ri], int(item.ub_sup[ri]))
-            for z in range(m):
-                sig[ri][z] = max(sig[ri][z], float(item.sigma[ri][z]))
-    return dict(bv_self=bv_self, bv=bv, ub_sup=sup, sigma=sig)
-
-
 def build_index(precomp: Precomputed, *, fanout: int = DEFAULT_FANOUT) -> IndexNode:
     """Build the tree index from the offline aggregates.
+
+    ``precomp.pdf`` must be sorted by ``(vertex, r)`` with rows
+    ``r = 1..r_max`` for every vertex; ValueError otherwise.
 
     Sort key: mean of the min-max-normalised ``ub_sup_{r_max}`` and
     ``σ_1(hop(·, r_max))`` (the paper's "average of ub_sup_r and σ_z" made
@@ -91,45 +77,54 @@ def build_index(precomp: Precomputed, *, fanout: int = DEFAULT_FANOUT) -> IndexN
     """
     r_max, m = precomp.r_max, len(precomp.thetas)
     pdf = precomp.pdf
-    entries: List[VertexEntry] = []
-    for vertex, sub in pdf.groupby("vertex", sort=True):
-        sub = sub.sort_values("r")
-        entries.append(
-            VertexEntry(
-                vertex=int(vertex),
-                bv_self=int(sub["bv_self"].iloc[0]),
-                bv=[int(x) for x in sub["bv_r"]],
-                ub_sup=[int(x) for x in sub["ub_sup_r"]],
-                sigma=[
-                    [float(sub.iloc[ri][f"sigma_{z}"]) for z in range(m)]
-                    for ri in range(len(sub))
-                ],
-            )
-        )
+    n = len(pdf) // r_max
+    vertex = pdf["vertex"].to_numpy()
+    radius = pdf["r"].to_numpy()
+    if n == 0 or len(pdf) != n * r_max:
+        raise ValueError(f"{len(pdf)} aggregate rows are not r_max={r_max} per vertex")
+    vertex, radius = vertex.reshape(n, r_max), radius.reshape(n, r_max)
+    if (
+        (vertex != vertex[:, :1]).any()
+        or (radius != np.arange(1, r_max + 1)).any()
+        or (np.diff(vertex[:, 0]) <= 0).any()
+    ):
+        raise ValueError("aggregate rows are not r = 1..r_max per vertex, sorted by vertex")
 
-    sups = np.array([e.ub_sup[r_max - 1] for e in entries], dtype=float)
-    sigs = np.array([e.sigma[r_max - 1][0] for e in entries], dtype=float)
+    bv_self = pdf["bv_self"].to_numpy(np.int64).reshape(n, r_max)[:, 0]
+    bv = pdf["bv_r"].to_numpy(np.int64).reshape(n, r_max)
+    sup = pdf["ub_sup_r"].to_numpy(np.int64).reshape(n, r_max)
+    sigma = pdf[[f"sigma_{z}" for z in range(m)]].to_numpy(float).reshape(n, r_max, m)
 
     def _norm(x: np.ndarray) -> np.ndarray:
         span = x.max() - x.min()
         return (x - x.min()) / span if span > 0 else np.zeros_like(x)
 
-    order = np.argsort(-(0.5 * _norm(sups) + 0.5 * _norm(sigs)), kind="stable")
-    entries = [entries[i] for i in order]
+    key = 0.5 * _norm(sup[:, -1].astype(float)) + 0.5 * _norm(sigma[:, -1, 0])
+    order = np.argsort(-key, kind="stable")
+    vertex, bv_self, bv, sup, sigma = (
+        a[order] for a in (vertex[:, 0], bv_self, bv, sup, sigma)
+    )
+    entries = [
+        VertexEntry(*row)
+        for row in zip(
+            vertex.tolist(), bv_self.tolist(), bv.tolist(), sup.tolist(), sigma.tolist()
+        )
+    ]
 
-    def _build(chunk: List[VertexEntry]) -> IndexNode:
-        if len(chunk) <= fanout:
-            return IndexNode(
-                **_aggregate(chunk, r_max, m), size=len(chunk), entries=chunk
-            )
-        splits = np.array_split(np.arange(len(chunk)), fanout)
-        children = [
-            _build([chunk[i] for i in part]) for part in splits if len(part) > 0
-        ]
+    def _build(lo: int, hi: int) -> IndexNode:
+        if hi - lo <= fanout:
+            children, leaf = None, entries[lo:hi]
+        else:
+            parts = np.array_split(np.arange(lo, hi), fanout)
+            children, leaf = [_build(int(p[0]), int(p[-1]) + 1) for p in parts], None
         return IndexNode(
-            **_aggregate(children, r_max, m),
-            size=sum(c.size for c in children),
+            bv_self=int(np.bitwise_or.reduce(bv_self[lo:hi])),
+            bv=np.bitwise_or.reduce(bv[lo:hi]).tolist(),
+            ub_sup=sup[lo:hi].max(axis=0).tolist(),
+            sigma=sigma[lo:hi].max(axis=0).tolist(),
+            size=hi - lo,
             children=children,
+            entries=leaf,
         )
 
-    return _build(entries)
+    return _build(0, n)

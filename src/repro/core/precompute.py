@@ -44,14 +44,12 @@ NO_EDGE_SUPPORT = -1
 class Precomputed:
     """Output of the offline phase: per-(vertex, r) aggregates.
 
-    ``pdf`` columns: ``vertex, r, bv_self, bv_r, ub_sup_r, sigma_0 … sigma_{m-1}``.
-    ``support_pdf`` is the global canonical edge-support table. It fills
-    ``LocalGraph.support`` in the snapshot and is stored in the disk cache;
-    no online path reads it (the online prunes read ``ub_sup_r``).
+    ``pdf`` columns: ``vertex, r, bv_self, bv_r, ub_sup_r, sigma_0 … sigma_{m-1}``,
+    sorted by ``(vertex, r)`` with one row per radius ``1..r_max``;
+    ``sigma_z`` is for ``thetas[z]``, in ascending order.
     """
 
     pdf: pd.DataFrame
-    support_pdf: pd.DataFrame
     thetas: Tuple[float, ...]
     r_max: int
 
@@ -66,7 +64,7 @@ def offline_precompute(
     """Run Algorithm 2 over ``graph`` and collect the (small) aggregates."""
     thetas = tuple(sorted(thetas))
     slots = r_max + 1  # seed-set id of (center, r) is center·slots + r
-    support = edge_support(graph.undirected_edges()).cache()
+    support = edge_support(graph.undirected_edges())
     membership = multi_source_hops(
         spark, graph.adjacency(), r_max, vertices=graph.vertices
     )
@@ -138,10 +136,7 @@ def offline_precompute(
         ["vertex", "r", "bv_self", "bv_r", "ub_sup_r"]
         + [f"sigma_{z}" for z in range(len(thetas))]
     ].sort_values(["vertex", "r"]).reset_index(drop=True)
-
-    support_pdf = support.toPandas()
-    support.unpersist()
-    return Precomputed(pdf=pdf, support_pdf=support_pdf, thetas=thetas, r_max=r_max)
+    return Precomputed(pdf=pdf, thetas=thetas, r_max=r_max)
 
 
 def z_index(thetas: Sequence[float], theta: float) -> int:

@@ -15,6 +15,7 @@ needed.
 """
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Iterator, List
 
 import pandas as pd
@@ -73,7 +74,9 @@ def topl_icde_spark(
         [sig, "vertex"], ascending=[False, True]
     )
 
-    local_bc = spark.sparkContext.broadcast(local)
+    # without the influence memo: executors rebuild what they need, and a
+    # warm memo is many times the size of the graph
+    local_bc = spark.sparkContext.broadcast(replace(local, _arbo={}))
     try:
         results: List[Community] = []
         for start in range(0, len(ranked), batch_size):

@@ -38,12 +38,7 @@ def run(spark: SparkSession, *, qseed: int = 0) -> Dict:
     center = g.center
     hop = set(local.khop(center, q.r))
     core = local.kcore(hop, q.k)
-    if center in core:
-        core_comm = {
-            v for v in core if v in local.khop_within(core, center)
-        }
-    else:
-        core_comm = set()
+    core_comm = set(local.khop(center, len(core), allowed=core))
 
     def digest(members):
         if not members:

@@ -24,6 +24,8 @@ def multi_source_hops(
     ``adjacency`` is the symmetric ``(a, b)`` frame; every ``id`` of
     ``vertices`` is a source. A row ``(c, v, d)`` means ``dist(c, v) = d`` —
     membership of ``hop(c, r)`` is ``dist <= r``. The result is materialised.
+    The depth is fixed, so ``r_max`` rounds are complete by construction
+    and no round probes for an empty frontier.
     """
     state = materialize(
         vertices.select(
@@ -42,8 +44,6 @@ def multi_source_hops(
                 neighbours.join(state, on=["center", "v"], how="left_anti")
                 .withColumn("dist", F.lit(d))
             )
-            if new.limit(1).count() == 0:
-                break
             state = materialize(state.unionByName(new))
             frontier = new
     return state

@@ -192,22 +192,15 @@ def build_social_graph(
     )
 
 
-def social_network(
-    spark: SparkSession,
-    n: int,
-    *,
-    dist: str = "uniform",
-    sigma: int = 20,
-    w_per_vertex: int = 3,
-    m: int = 6,
-    mu: float = 0.167,
-    seed: int = 0,
-) -> SocialGraph:
-    """The paper's synthetic graphs **Uni** / **Gau** / **Zipf**."""
-    und = nws_undirected_edges(n, m=m, mu=mu, seed=seed)
+def _frames(
+    und: np.ndarray, n: int, dist: str, sigma: int, w_per_vertex: int, seed: int
+) -> Tuple[pd.DataFrame, pd.DataFrame]:
+    """Vertex and edge frames over ``n`` vertices and canonical undirected
+    edges ``und``: directed weights drawn at ``seed + 1``, keywords under
+    ``dist`` at ``seed + 2``."""
     edges = directed_weighted_edges(und, seed=seed + 1)
     verts = vertices_pdf(assign_keywords(n, sigma, w_per_vertex, dist, seed=seed + 2))
-    return build_social_graph(spark, verts, edges)
+    return verts, edges
 
 
 def pandas_social_network(
@@ -220,11 +213,15 @@ def pandas_social_network(
     mu: float = 0.167,
     seed: int = 0,
 ) -> Tuple[pd.DataFrame, pd.DataFrame]:
-    """Driver-only variant of :func:`social_network` (no SparkSession)."""
+    """The paper's synthetic graphs **Uni** / **Gau** / **Zipf** as pandas
+    frames (no SparkSession)."""
     und = nws_undirected_edges(n, m=m, mu=mu, seed=seed)
-    edges = directed_weighted_edges(und, seed=seed + 1)
-    verts = vertices_pdf(assign_keywords(n, sigma, w_per_vertex, dist, seed=seed + 2))
-    return verts, edges
+    return _frames(und, n, dist, sigma, w_per_vertex, seed)
+
+
+def social_network(spark: SparkSession, n: int, **kw) -> SocialGraph:
+    """:func:`pandas_social_network` (same keyword arguments) in Spark."""
+    return build_social_graph(spark, *pandas_social_network(n, **kw))
 
 
 def dblp_like(
@@ -239,9 +236,7 @@ def dblp_like(
     und = clique_affiliation_edges(
         n, n_cliques=int(n * 0.8), clique_size_low=3, clique_size_high=7, seed=seed
     )
-    edges = directed_weighted_edges(und, seed=seed + 1)
-    verts = vertices_pdf(assign_keywords(n, sigma, w_per_vertex, "zipf", seed=seed + 2))
-    return build_social_graph(spark, verts, edges)
+    return build_social_graph(spark, *_frames(und, n, "zipf", sigma, w_per_vertex, seed))
 
 
 def amazon_like(
@@ -256,8 +251,6 @@ def amazon_like(
     und = clique_affiliation_edges(
         n, n_cliques=int(n * 1.0), clique_size_low=2, clique_size_high=4, seed=seed
     )
-    edges = directed_weighted_edges(und, seed=seed + 1)
-    verts = vertices_pdf(
-        assign_keywords(n, sigma, w_per_vertex, "uniform", seed=seed + 2)
+    return build_social_graph(
+        spark, *_frames(und, n, "uniform", sigma, w_per_vertex, seed)
     )
-    return build_social_graph(spark, verts, edges)

@@ -47,27 +47,23 @@ class LocalGraph:
     keywords: Dict[int, FrozenSet[str]]
     #: 64-bit keyword bit vector per vertex
     bv: Dict[int, int]
-    #: global edge support (paper's ub_sup(e) upper bound), canonical (u<v)
-    support: Dict[Tuple[int, int], int] = field(default_factory=dict)
     #: memo of :meth:`influence`: source -> (lowest θ asked, MIOA(source, θ)
     #: in preorder). ``init=True`` so that :meth:`keyword_truss`'s views,
     #: built by ``dataclasses.replace``, share it with this graph.
     _arbo: Dict[int, Tuple[float, List[Tuple[float, int, int]]]] = field(
         default_factory=dict, repr=False, compare=False
     )
+    #: :attr:`support`, once read. A field, not ``functools.cached_property``:
+    #: its write through ``__dict__`` slows every later attribute read on the
+    #: instance, ATindex's queries included.
+    _support: Optional[Dict[Tuple[int, int], int]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------ build
     @classmethod
-    def from_pandas(
-        cls,
-        vertices: pd.DataFrame,
-        edges: pd.DataFrame,
-        support: Optional[pd.DataFrame] = None,
-    ) -> "LocalGraph":
+    def from_pandas(cls, vertices: pd.DataFrame, edges: pd.DataFrame) -> "LocalGraph":
         """Build from pandas frames with the SocialGraph schemas.
-
-        ``support`` (optional) is a canonical ``(u, v, support)`` frame as
-        produced by :func:`repro.graph.triangles.edge_support`.
 
         Raises ValueError on frames that :func:`validate_frames` rejects.
         """
@@ -83,13 +79,7 @@ class LocalGraph:
             int(i): frozenset(k) for i, k in zip(vertices["id"], vertices["keywords"])
         }
         bv = {int(i): int(b) for i, b in zip(vertices["id"], vertices["bv"])}
-        sup: Dict[Tuple[int, int], int] = {}
-        if support is not None:
-            sup = {
-                (int(u), int(v)): int(s)
-                for u, v, s in zip(support["u"], support["v"], support["support"])
-            }
-        return cls(adj=adj, out=out, keywords=kw, bv=bv, support=sup)
+        return cls(adj=adj, out=out, keywords=kw, bv=bv)
 
     # ----------------------------------------------------------------- basics
     def vertices(self) -> List[int]:
@@ -97,6 +87,14 @@ class LocalGraph:
 
     def undirected_edges(self) -> List[Tuple[int, int]]:
         return [(u, v) for u, nbrs in self.adj.items() for v in nbrs if u < v]
+
+    @property
+    def support(self) -> Dict[Tuple[int, int], int]:
+        """Edge support in this graph, canonical (u < v): the ``ub_sup(e)``
+        behind ``ub_sup_r``. Counted on first read; no online path reads it."""
+        if self._support is None:
+            self._support = self.induced_support(set(self.adj))
+        return self._support
 
     # -------------------------------------------------------------------- BFS
     def khop(
@@ -345,21 +343,6 @@ class LocalGraph:
     def sigma(self, seed: Iterable[int], theta: float) -> float:
         """Influential score σ(g) = Σ_{v∈g^Inf} cpp(g, v) (paper Eq. 5)."""
         return float(sum(self.influence(seed, theta).values()))
-
-    # ------------------------------------------------------------- utilities
-    def khop_within(self, vset: Set[int], center: int) -> Dict[int, int]:
-        """BFS from center restricted to the induced subgraph on vset."""
-        dist = {center: 0}
-        frontier = [center]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in self.adj[u]:
-                    if v in vset and v not in dist:
-                        dist[v] = dist[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        return dist
 
 
 class _Peel:

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 import pandas as pd
 from pyspark.sql import DataFrame, functions as F
 
+from repro.graph.triangles import symmetric_adjacency
+
 
 def validate_frames(vertices: pd.DataFrame, edges: pd.DataFrame) -> None:
     """Reject pandas vertex/edge frames that break the paper's math.
@@ -67,10 +69,7 @@ class SocialGraph:
 
     def adjacency(self) -> DataFrame:
         """Symmetric unweighted adjacency ``(a, b)``: both orientations."""
-        und = self.undirected_edges()
-        return und.select(F.col("u").alias("a"), F.col("v").alias("b")).unionByName(
-            und.select(F.col("v").alias("a"), F.col("u").alias("b"))
-        )
+        return symmetric_adjacency(self.undirected_edges())
 
     def num_vertices(self) -> int:
         return self.vertices.count()

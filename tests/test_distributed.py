@@ -38,3 +38,24 @@ def test_small_batches_early_stop(spark, prepared_small):
 def test_empty_result(spark, prepared_small):
     q = q_default(keywords=frozenset({"nope"}))
     assert topl_icde_spark(spark, prepared_small.pre, prepared_small.local, q) == []
+
+
+def test_broadcast_holds_no_influence_memo(spark, prepared_small, monkeypatch):
+    """A warm driver memo is not shipped: the broadcast snapshot is the same
+    graph with an empty ``_arbo``, and the answers are unchanged."""
+    local, q = prepared_small.local, q_default()
+    want = topl_icde(local, prepared_small.index, q, prepared_small.pre.thetas)
+    assert local._arbo
+    sc = spark.sparkContext
+    shipped, broadcast = [], sc.broadcast
+
+    def recording(value):
+        shipped.append(value)
+        return broadcast(value)
+
+    monkeypatch.setattr(sc, "broadcast", recording)
+    got = topl_icde_spark(spark, prepared_small.pre, local, q)
+    assert [g._arbo for g in shipped] == [{}] and shipped[0] == local
+    assert local._arbo
+    assert [round(c.sigma, 6) for c in got] == [round(c.sigma, 6) for c in want]
+    assert {c.vertices for c in got} == {c.vertices for c in want}

@@ -1,8 +1,10 @@
 """Integration tests for the experiment drivers (shrunk to test scale)."""
 from __future__ import annotations
 
+import pandas as pd
 import pytest
 
+from repro.core.topl import Query, topl_icde
 from repro.experiments import datasets as D
 from repro.experiments import params as P
 from repro.experiments.runner import make_query, summarize, timed_atindex, timed_topl
@@ -146,3 +148,29 @@ def test_disk_cache_ignores_unversioned_files(monkeypatch, tmp_path):
     assert D._disk_load(key) is None
     D._disk_store(key, {"vtruss": {0: 23}})
     assert D._disk_load(key)["vtruss"] == {0: 23}
+
+
+def test_disk_cache_hit_equals_fresh_build(spark, monkeypatch, tmp_path):
+    """A disk hit returns the fresh build's aggregates, θ grid and answers,
+    also when ``params.THETAS`` is not in ascending order (each σ column
+    must stay paired with its θ, or the score prune is unsafe)."""
+    monkeypatch.setattr(D, "CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(D, "_CACHE", {})
+    monkeypatch.setattr(P, "THETAS", (0.3, 0.1, 0.2))
+    kw = dict(kind="nws", n=60, dist="uniform", seed=11)
+    fresh = D.prepare(spark, **kw)
+    D.clear_cache()
+    hit = D.prepare(spark, **kw)
+    assert "from_disk_cache" in hit.timings and "from_disk_cache" not in fresh.timings
+    pd.testing.assert_frame_equal(hit.pre.pdf, fresh.pre.pdf)
+    assert hit.pre.thetas == fresh.pre.thetas == (0.1, 0.2, 0.3)
+    found = 0
+    for theta in (0.1, 0.2, 0.3):
+        q = Query(keywords=frozenset(f"kw{i}" for i in range(8)), k=3, r=2, theta=theta, L=5)
+        want = topl_icde(fresh.local, fresh.index, q, fresh.pre.thetas)
+        got = topl_icde(hit.local, hit.index, q, hit.pre.thetas)
+        assert [(c.center, c.vertices, c.sigma) for c in got] == [
+            (c.center, c.vertices, c.sigma) for c in want
+        ]
+        found += len(want)
+    assert found > 0

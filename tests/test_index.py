@@ -1,6 +1,10 @@
 """Tree-index construction invariants (paper Sec. V-B)."""
 from __future__ import annotations
 
+from dataclasses import replace
+
+import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core.index import IndexNode, build_index
@@ -79,18 +83,58 @@ def test_leaf_aggregates_cover_entries(index):
                     assert leaf.sigma[ri][z] >= e.sigma[ri][z] - 1e-12
 
 
+def test_aggregates_equal_entries_below(index):
+    """Each node's bounds are exactly the OR / max over the entries below
+    it: no looser (wasted prunes), no tighter (unsafe)."""
+    for node in walk(index):
+        below = [e for leaf in leaves(node) for e in leaf.entries]
+        assert node.size == len(below)
+        bv_self, bv = 0, [0] * len(node.bv)
+        for e in below:
+            bv_self |= e.bv_self
+            bv = [a | b for a, b in zip(bv, e.bv)]
+        assert node.bv_self == bv_self
+        assert node.bv == bv
+        assert node.ub_sup == [max(col) for col in zip(*(e.ub_sup for e in below))]
+        assert node.sigma == [
+            [max(e.sigma[ri][z] for e in below) for z in range(len(node.sigma[ri]))]
+            for ri in range(len(node.sigma))
+        ]
+
+
 def test_entries_match_precompute_rows(index, prepared_small):
     pre = prepared_small.pre
     by_vertex = {
         e.vertex: e for leaf in leaves(index) for e in leaf.entries
     }
-    for (_, row) in pre.pdf.sample(n=30, random_state=0).iterrows():
+    for (_, row) in pre.pdf.iterrows():
         e = by_vertex[int(row["vertex"])]
         ri = int(row["r"]) - 1
         assert e.bv[ri] == int(row["bv_r"])
         assert e.ub_sup[ri] == int(row["ub_sup_r"])
-        for z in range(len(pre.thetas)):
-            assert e.sigma[ri][z] == pytest.approx(float(row[f"sigma_{z}"]))
+        assert e.sigma[ri] == [float(row[f"sigma_{z}"]) for z in range(len(pre.thetas))]
+        if ri == 0:
+            assert e.bv_self == int(row["bv_self"])
+
+
+def _damage(pdf: pd.DataFrame, how: str, r_max: int) -> pd.DataFrame:
+    if how == "missing-row":
+        return pdf.drop(index=4)
+    if how == "radius-repeated":  # the first vertex's r = 1, 1, 3
+        return pdf.assign(r=np.where(pdf.index == 1, 1, pdf["r"]))
+    if how == "radii-out-of-order":
+        return pdf.iloc[[1, 0, *range(2, len(pdf))]]
+    # the first vertex's rows moved to the end
+    return pd.concat([pdf.iloc[r_max:], pdf.iloc[:r_max]])
+
+
+@pytest.mark.parametrize(
+    "how", ["missing-row", "radius-repeated", "radii-out-of-order", "vertices-out-of-order"]
+)
+def test_malformed_aggregates_raise(prepared_small, how):
+    pre = prepared_small.pre
+    with pytest.raises(ValueError):
+        build_index(replace(pre, pdf=_damage(pre.pdf, how, pre.r_max)))
 
 
 def test_small_fanout_deepens_tree(prepared_small):

@@ -96,6 +96,7 @@ def fresh(g: LocalGraph) -> LocalGraph:
 
 
 K5_EDGES = list(itertools.combinations(range(5), 2))
+K4_EDGES = list(itertools.combinations(range(4), 2))
 PATH = [(0, 1), (1, 2), (2, 3), (3, 4)]
 RING6 = [(i, (i + 1) % 6) for i in range(6)]
 
@@ -129,7 +130,7 @@ class TestBFS:
 
     def test_khop_within(self):
         g = make_local(K5_EDGES)
-        assert g.khop_within({0, 1, 2}, 0) == {0: 0, 1: 1, 2: 1}
+        assert g.khop(0, 3, allowed={0, 1, 2}) == {0: 0, 1: 1, 2: 1}
 
 
 class TestSupportAndTruss:
@@ -137,6 +138,14 @@ class TestSupportAndTruss:
         g = make_local(K5_EDGES)
         sup = g.induced_support(set(range(5)))
         assert all(s == 3 for s in sup.values())  # each edge in 3 triangles
+
+    def test_support_is_whole_graph_count(self):
+        """``support`` counts on the snapshot's own edges: the whole graph,
+        or a keyword truss view's peeled edges."""
+        g = make_local(K4_EDGES + [(0, 4)])
+        want = {e: 2 for e in K4_EDGES}
+        assert g.support == {**want, (0, 4): 0}
+        assert g.keyword_truss({"kw0"}, 4).support == want
 
     def test_path_support_zero(self):
         g = make_local(PATH)
@@ -435,7 +444,7 @@ class TestSeedCommunity:
             sup = local_medium.induced_support(set(got))
             assert all(s >= 2 for s in sup.values())
             # connectivity + radius within g
-            dist = local_medium.khop_within(set(got), center)
+            dist = local_medium.khop(center, len(got), allowed=set(got))
             assert set(dist) == set(got)
             assert max(dist.values()) <= 2
         assert checked > 0, "fixture produced no communities to validate"

@@ -13,6 +13,7 @@ from repro.core.precompute import NO_EDGE_SUPPORT, offline_precompute, z_index
 from repro.experiments import params as P
 from repro.graph import generators as gen
 from repro.graph.local import LocalGraph
+from repro.graph.triangles import edge_support
 
 
 @pytest.fixture(scope="module")
@@ -120,14 +121,12 @@ def test_bounds_dominate_true_seed_communities(pre, local):
     assert checked > 0
 
 
-def test_support_pdf_matches_local(pre, local):
-    got = {
-        (int(u), int(v)): int(s)
-        for u, v, s in zip(
-            pre.support_pdf["u"], pre.support_pdf["v"], pre.support_pdf["support"]
-        )
-    }
-    assert got == local.induced_support(set(local.adj))
+def test_edge_support_matches_local_support(prepared_small, local):
+    """Spark's edge support, which ``ub_sup_r`` is built from, equals the
+    snapshot's own count that the ``ub_sup_r`` tests above compare with."""
+    und = prepared_small.graph.undirected_edges()
+    got = {(r.u, r.v): r.support for r in edge_support(und).collect()}
+    assert got == local.support
 
 
 @pytest.fixture(scope="module")

@@ -83,7 +83,7 @@ class TestBehaviour:
                 assert local.keywords[v] & q.keywords
             sup = local.induced_support(set(c.vertices))
             assert all(s >= q.k - 2 for s in sup.values())
-            dist = local.khop_within(set(c.vertices), c.center)
+            dist = local.khop(c.center, len(c.vertices), allowed=set(c.vertices))
             assert set(dist) == set(c.vertices) and max(dist.values()) <= q.r
 
     def test_sigma_matches_cpp(self, prepared_small):
