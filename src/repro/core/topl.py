@@ -16,7 +16,10 @@ current top-L floor σ_L (heap order ⇒ nothing later can either).
 
 :func:`refine` and :func:`rank` are the one refinement kernel and the one
 ranking rule of every online path: this traversal, the brute-force
-reference, the ATindex baseline and the dataflow variant.
+reference, the ATindex baseline and the dataflow variant. ``refine`` scores
+each distinct (g, θ) once per snapshot through ``LocalGraph.sigma_memo``;
+:func:`with_cpp` attaches the influenced community to the few answers
+scored from the memo.
 """
 from __future__ import annotations
 
@@ -69,7 +72,9 @@ class Community:
     center: int
     vertices: FrozenSet[int]
     sigma: float
-    #: cpp(g, v) over g^Inf — carried so DTopL-ICDE can reuse it (Eq. 6)
+    #: cpp(g, v) over g^Inf — carried so DTopL-ICDE can reuse it (Eq. 6);
+    #: empty on a :func:`refine` result scored from the σ memo until
+    #: :func:`with_cpp` attaches it
     cpp: Dict[int, float] = field(default_factory=dict, repr=False)
 
 
@@ -80,16 +85,36 @@ def refine(
 
     Returns None if ``center`` hosts no seed community (Def. 2) or if that
     community's vertex set is already in ``seen``; otherwise adds it to
-    ``seen`` and returns it with its influenced community (Eq. 5). The
-    ``seen`` check runs before the influence computation because many
-    centers of one community extract the same vertex set.
+    ``seen`` and returns it with σ (Eq. 5). The ``seen`` check runs before
+    scoring because many centers of one community extract the same vertex
+    set. σ comes from ``local.sigma_memo`` when an earlier query scored the
+    same (g, θ); the community then carries no ``cpp`` until
+    :func:`with_cpp` attaches it. Otherwise the influenced community is
+    computed, carried and its σ memoised.
     """
     g = local.seed_community(center, query.r, query.k, query.keywords)
     if g is None or g in seen:
         return None
     seen.add(g)
+    key = (g, query.theta)
+    sigma = local.sigma_memo.get(key)
+    if sigma is not None:
+        return Community(center=center, vertices=g, sigma=sigma)
     cpp = local.influence(g, query.theta)
-    return Community(center=center, vertices=g, sigma=sigma_of(cpp), cpp=cpp)
+    sigma = local.sigma_memo[key] = sigma_of(cpp)
+    return Community(center=center, vertices=g, sigma=sigma, cpp=cpp)
+
+
+def with_cpp(
+    local: LocalGraph, communities: List[Community], theta: float
+) -> List[Community]:
+    """Attach ``cpp`` to the communities :func:`refine` scored from the σ
+    memo (an influenced community is never empty: it holds g); returns
+    ``communities``."""
+    for c in communities:
+        if not c.cpp:
+            c.cpp = local.influence(c.vertices, theta)
+    return communities
 
 
 def rank(communities: Iterable[Optional[Community]], L: int) -> List[Community]:
@@ -189,7 +214,8 @@ def topl_icde(
                 elif comm.sigma > results[0][0]:
                     heapq.heapreplace(results, (comm.sigma, next(tiebreak), comm))
 
-    return [c for _, _, c in sorted(results, key=lambda t: (-t[0], t[1]))]
+    ranked = [c for _, _, c in sorted(results, key=lambda t: (-t[0], t[1]))]
+    return with_cpp(local, ranked, query.theta)
 
 
 def brute_force_topl(
@@ -200,6 +226,7 @@ def brute_force_topl(
     Used by tests to prove the pruned traversal exact.
     """
     seen: Set[FrozenSet[int]] = set()
-    return rank(
+    ranked = rank(
         (refine(local, v, query, seen) for v in sorted(local.vertices())), query.L
     )
+    return with_cpp(local, ranked, query.theta)

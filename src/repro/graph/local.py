@@ -18,6 +18,12 @@ counts support once and updates it as edges leave. Influence
 out-arborescences, each built once by a max-product Dijkstra and memoised
 on the graph (shared with its keyword truss views), so communities that
 share seed vertices, within a query or across queries, reuse them.
+
+Each distinct community is scored once (DESIGN.md §3): a keyword truss view
+records its connected components, and :meth:`LocalGraph.seed_community`
+returns a center's component outright when the depth-r ball covers it; the
+graph and its views share a σ(g, θ) memo (``sigma_memo``) that
+:func:`repro.core.topl.refine` reads before computing influence.
 """
 from __future__ import annotations
 
@@ -53,10 +59,23 @@ class LocalGraph:
     _arbo: Dict[int, Tuple[float, List[Tuple[float, int, int]]]] = field(
         default_factory=dict, repr=False, compare=False
     )
+    #: σ(g, θ) of every community scored on this graph or its views, by
+    #: (vertex set, θ); read and filled by :func:`repro.core.topl.refine`.
+    #: ``init=True`` for the same sharing as ``_arbo``.
+    sigma_memo: Dict[Tuple[FrozenSet[int], float], float] = field(
+        default_factory=dict, repr=False, compare=False
+    )
     #: :attr:`support`, once read. A field, not ``functools.cached_property``:
     #: its write through ``__dict__`` slows every later attribute read on the
     #: instance, ATindex's queries included.
     _support: Optional[Dict[Tuple[int, int], int]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: on a :meth:`keyword_truss` view: (k it was peeled at, vertex ->
+    #: its connected component, one frozenset shared by the component's
+    #: vertices). ``init=False``: ``replace`` copies and the full snapshot
+    #: hold None.
+    _components: Optional[Tuple[int, Dict[int, FrozenSet[int]]]] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -181,13 +200,31 @@ class LocalGraph:
         full graph, and None at every vertex the view lacks. Attributed
         truss community search peels the query's subgraph the same way
         (Huang & Lakshmanan, VLDB 2017). The view shares ``out``,
-        ``keywords``, ``bv`` and the influence memo with this graph, so
-        influence is unchanged and arborescences built through either serve
-        both.
+        ``keywords``, ``bv``, the influence memo and the σ memo with this
+        graph, so influence is unchanged and what is built through either
+        serves both.
+
+        The view also records its connected components, which
+        :meth:`seed_community` returns without peeling when its candidate
+        BFS covers one.
         """
         kw = self.keywords
         vq = {v for v in self.adj if not kw.get(v, _NO_KEYWORDS).isdisjoint(query)}
-        return replace(self, adj=self._truss_nbr(vq, k))
+        nbr = self._truss_nbr(vq, k)
+        components: Dict[int, FrozenSet[int]] = {}
+        for v in nbr:
+            if v not in components:
+                comp, stack = {v}, [v]
+                while stack:
+                    for w in nbr[stack.pop()]:
+                        if w not in comp:
+                            comp.add(w)
+                            stack.append(w)
+                whole = frozenset(comp)
+                components.update(dict.fromkeys(whole, whole))
+        view = replace(self, adj=nbr)
+        view._components = (k, components)
+        return view
 
     # ----------------------------------------------------------------- k-core
     def kcore(self, vset: Set[int], k: int) -> Set[int]:
@@ -223,6 +260,13 @@ class LocalGraph:
         remaining vertex. The set only shrinks, so one support count serves
         every round. None once the center has no edge left (so communities
         without edges are rejected, DESIGN.md §4).
+
+        On a :meth:`keyword_truss` view peeled at this ``k``, a candidate
+        set that covers the center's whole component is returned as that
+        component, with no peel. The component of a k-truss is a k-truss,
+        the BFS reached all of it within depth r over its own edges, and
+        every seed community at the center is connected inside the view,
+        so it is the maximal one.
         """
         kw, adj = self.keywords, self.adj
         if center not in adj or kw.get(center, _NO_KEYWORDS).isdisjoint(query):
@@ -237,6 +281,11 @@ class LocalGraph:
                         cand.add(v)
                         nxt.append(v)
             frontier = nxt
+        components = self._components
+        if components is not None and components[0] == k:
+            whole = components[1][center]
+            if len(cand) == len(whole):
+                return whole
         nbr = self._nbr(cand)
         peel = _Peel(nbr, k, center)
         if not peel.run():

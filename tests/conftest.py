@@ -11,7 +11,7 @@ import pandas as pd
 import pytest
 
 from repro.graph import generators as gen
-from repro.graph.local import LocalGraph
+from repro.graph.local import LocalGraph, _Peel
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -57,6 +57,21 @@ def builds(monkeypatch):
 
     monkeypatch.setattr(LocalGraph, "_arborescence", counting)
     return built
+
+
+@pytest.fixture
+def peels(monkeypatch):
+    """Centers of the k-truss peels (``_Peel``) built during the test, in
+    call order; None for a peel without a center."""
+    started = []
+    init = _Peel.__init__
+
+    def counting(self, nbr, k, center=None):
+        started.append(center)
+        init(self, nbr, k, center)
+
+    monkeypatch.setattr(_Peel, "__init__", counting)
+    return started
 
 
 @pytest.fixture(scope="session")

@@ -2,14 +2,16 @@
 by trussness + keyword but refines everything surviving)."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import networkx as nx
 import numpy as np
 import pytest
 
+from repro.core import diversify
 from repro.core.baseline import atindex_offline, atindex_query, edge_trussness
-from repro.core.topl import Query, brute_force_topl
+from repro.core.topl import Query, brute_force_topl, topl_icde
 from repro.graph import generators as gen
 from repro.graph.local import LocalGraph
 from tests.test_local_graph import make_local
@@ -24,6 +26,35 @@ def q_default(**overrides):
     base = dict(keywords=frozenset({"kw0", "kw1", "kw2", "kw3", "kw4"}), k=4, r=2, theta=0.2, L=5)
     base.update(overrides)
     return Query(**base)
+
+
+def test_answers_carry_cpp_after_warm_memo(prepared_small, vtruss, monkeypatch):
+    """Once the σ memo holds every community, the answers of every online
+    path, DTopL's top-(n·L) pool included, still carry their influenced
+    communities."""
+    local, index, thetas = prepared_small.local, prepared_small.index, prepared_small.pre.thetas
+    pools = []
+    greedy_wp = diversify.greedy_wp
+
+    def capture(candidates, L, stats=None):
+        pools.append(list(candidates))
+        return greedy_wp(candidates, L, stats)
+
+    monkeypatch.setattr(diversify, "greedy_wp", capture)
+    for q in (q_default(L=10, theta=0.15), q_default(k=3, r=1, L=8)):
+        brute_force_topl(local, dataclasses.replace(q, L=50))
+        warm = set(local.sigma_memo)
+        answers = {
+            "topl": topl_icde(local, index, q, thetas),
+            "brute": brute_force_topl(local, q),
+            "atindex": atindex_query(local, vtruss, q),
+        }
+        diversify.dtopl_icde(local, index, q, thetas, n=3)
+        answers["pool"] = pools.pop()
+        for name, got in answers.items():
+            assert got and all((c.vertices, q.theta) in warm for c in got), name
+            for c in got:
+                assert c.cpp == local.influence(c.vertices, q.theta), name
 
 
 def test_vertex_trussness_sound(vtruss, prepared_small):

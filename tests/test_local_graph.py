@@ -5,6 +5,7 @@ property checks on generated graphs.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
@@ -13,6 +14,7 @@ import pandas as pd
 import pytest
 
 from repro.core.keywords import bv_of
+from repro.core.topl import Query, brute_force_topl, refine
 from repro.graph import generators as gen
 from repro.graph.local import LocalGraph
 
@@ -501,11 +503,12 @@ class TestSeedCommunity:
 class TestKeywordTruss:
     """The view T_k(G_Q) extracts exactly what the full graph extracts."""
 
-    def test_view_matches_full_graph(self, generated_graphs):
+    def test_view_matches_full_graph(self, generated_graphs, peels):
         rng = random.Random(29)
         for g in generated_graphs:
             vocab = sorted({w for kws in g.keywords.values() for w in kws})
             cut = 0
+            shortcut = {True: 0, False: 0}
             for _ in range(12):
                 query = set(rng.sample(vocab, rng.randint(1, 6)))
                 k, r = rng.randint(2, 6), rng.randint(1, 3)
@@ -519,11 +522,37 @@ class TestKeywordTruss:
                     if center not in view.adj:
                         assert got is None, (center, r, k, query)
                         continue
+                    started = len(peels)
                     assert view.seed_community(center, r, k, query) == got, (
                         center, r, k, query,
                     )
+                    shortcut[len(peels) == started] += 1
                     cut += view.adj[center] != g.adj[center] & vq
             assert cut > 0, "the view never cut a surviving center's adjacency"
+            assert all(shortcut.values()), f"component shortcut fired/missed: {shortcut}"
+
+    def test_component_shortcut_on_a_chain_of_triangles(self, peels):
+        """Triangles 0-1-2, 2-3-4 and 4-5-6 form a chain; triangle 7-8-9
+        stands alone. At k = 3, r = 1 the ball of 7 is its whole component
+        (no peel), the ball of 2 is not (peel). Both extract what the full
+        graph extracts; at another k the view peels as usual."""
+        chain = [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4), (4, 5), (4, 6), (5, 6)]
+        g = make_local(chain + [(7, 8), (7, 9), (8, 9)])
+        q = {"kw0"}
+        view = g.keyword_truss(q, 3)
+        peels.clear()
+        assert view.seed_community(7, 1, 3, q) == frozenset({7, 8, 9})
+        assert peels == []
+        assert view.seed_community(2, 1, 3, q) == frozenset(range(5))
+        assert peels == [2]
+        for center in range(10):
+            assert view.seed_community(center, 1, 3, q) == g.seed_community(center, 1, 3, q)
+            assert view.seed_community(center, 3, 3, q) == g.seed_community(center, 3, 3, q)
+        assert g.seed_community(0, 3, 3, q) == frozenset(range(7))
+        peels.clear()
+        assert view.seed_community(7, 1, 4, q) is None
+        assert g.seed_community(7, 1, 4, q) is None
+        assert peels == [7, 7]
 
     def test_dangling_keyword_path_dropped(self):
         """Keyword K4 on 0..3 with keyword path 3-4-5; vertex 6 lacks the
@@ -543,3 +572,78 @@ class TestKeywordTruss:
             assert view.seed_community(center, 2, 3, {"kw1"}) is None
         assert view.seed_community(0, 2, 3, {"kw1"}) == frozenset(range(4))
         assert g.seed_community(0, 2, 3, {"kw1"}) == frozenset(range(4))
+
+
+class TestSigmaMemo:
+    """``refine`` scores each (g, θ) once per snapshot; no answer depends on
+    what the σ memo already holds."""
+
+    def test_answers_equal_a_fresh_graph(self, generated_graphs):
+        """40 seeded queries on one graph, every other one through its
+        keyword truss view, against each query on an empty-memo graph:
+        θ on the offline grid and off it, (Q, k, r) drawn from a small pool
+        so that queries repeat communities."""
+        rng = random.Random(41)
+        for g in generated_graphs:
+            shared = fresh(g)
+            vocab = sorted({w for kws in g.keywords.values() for w in kws})
+            pool = [
+                (frozenset(rng.sample(vocab, rng.randint(2, 6))), rng.randint(2, 5), rng.randint(1, 3))
+                for _ in range(8)
+            ]
+            hits = misses = 0
+            for i in range(40):
+                kws, k, r = rng.choice(pool)
+                q = Query(
+                    keywords=kws, k=k, r=r,
+                    theta=rng.choice((0.1, 0.15, 0.2, 0.3, 0.45)), L=rng.randint(1, 10),
+                )
+                before = set(shared.sigma_memo)
+                target = shared.keyword_truss(kws, k) if i % 2 else shared
+                got = brute_force_topl(target, q)
+                want = brute_force_topl(fresh(g), q)
+                assert [c.vertices for c in got] == [c.vertices for c in want], q
+                for a, b in zip(got, want):
+                    assert math.isclose(a.sigma, b.sigma, rel_tol=1e-12), q
+                    assert a.cpp == b.cpp, q
+                    if (a.vertices, q.theta) in before:
+                        hits += 1
+                    else:
+                        misses += 1
+            assert hits and misses, (hits, misses)
+
+    def test_view_and_graph_share_memo(self, local_medium, monkeypatch):
+        """A community scored through the view is a hit through the graph,
+        and the other way round; another θ is a miss."""
+        g = fresh(local_medium)
+        scored = []
+        influence = LocalGraph.influence
+
+        def counting(self, seed, theta):
+            scored.append((frozenset(seed), theta))
+            return influence(self, seed, theta)
+
+        monkeypatch.setattr(LocalGraph, "influence", counting)
+        q = Query(keywords=frozenset({"kw0", "kw1", "kw2", "kw3", "kw4"}), k=3, r=2, theta=0.2, L=5)
+        view = g.keyword_truss(q.keywords, q.k)
+        comms = {}
+        for c in sorted(view.adj):
+            comms.setdefault(view.seed_community(c, q.r, q.k, q.keywords), c)
+        comms.pop(None, None)
+        (ga, a), (gb, b) = list(comms.items())[:2]
+
+        first = refine(view, a, q, set())
+        assert scored == [(ga, 0.2)] and first.cpp
+        hit = refine(g, a, q, set())
+        assert scored == [(ga, 0.2)] and hit.cpp == {}
+        assert (hit.vertices, hit.sigma) == (first.vertices, first.sigma)
+
+        second = refine(g, b, q, set())
+        assert scored[1:] == [(gb, 0.2)] and second.cpp
+        hit = refine(view, b, q, set())
+        assert scored[1:] == [(gb, 0.2)] and hit.sigma == second.sigma
+
+        other = refine(view, a, dataclasses.replace(q, theta=0.3), set())
+        assert scored[2:] == [(ga, 0.3)] and other.cpp
+        assert set(g.sigma_memo) == {(ga, 0.2), (gb, 0.2), (ga, 0.3)}
+        assert g.sigma_memo is view.sigma_memo
