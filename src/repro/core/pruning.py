@@ -22,7 +22,13 @@ class PruningStats:
     Counts are in units of *candidate centers* (r-hop subgraphs): an
     index-level prune of an entry covering ``size`` vertices counts as
     ``size`` pruned candidates, matching the paper's "number of pruned
-    candidate communities".
+    candidate communities". Every vertex lands in exactly one of
+    ``keyword``, ``support``, ``score``, ``heap_terminated`` and ``refined``.
+
+    ``heap_terminated`` counts what the Lemma 7 stop leaves unexpanded: the
+    ``size`` of every index node and leaf entry still in the traversal heap,
+    the popped one included. ``visited_nodes`` counts index nodes popped from
+    the heap, not leaf entries.
     """
 
     keyword: int = 0

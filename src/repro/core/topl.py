@@ -1,15 +1,20 @@
 """Online TopL-ICDE processing (paper Algorithm 3).
 
-Best-first traversal of the tree index with a max-heap keyed by the
-influential-score upper bound ``N.σ_z``; index entries are pruned with
-Lemmas 5–7, leaf vertices with Lemmas 1/2/4; surviving centers are refined —
+Best-first traversal of the tree index with one max-heap that holds index
+nodes, keyed by their influential-score upper bound ``N.σ_z``, and leaf
+centers, keyed by their own bound. Index entries are pruned with Lemmas
+5–7, leaf vertices with Lemmas 1/2/4; surviving centers are refined —
 maximal seed community extraction (Def. 2 fixpoint) plus the exact
-``calculate_influence`` — against the driver-side graph snapshot.
+``calculate_influence`` — against the driver-side graph snapshot when the
+heap pops them.
 
 At the leaves the support family (Lemma 2) is exact: the query's keyword
 k-truss T_k(G_Q) is peeled once per query (:meth:`LocalGraph.keyword_truss`),
 a center with no edge in it is charged to ``PruningStats.support``, and the
-others extract their communities on its edges (DESIGN.md §4).
+others extract their communities on its edges (DESIGN.md §4). A center of
+T_k(G_Q) is keyed by min(σ_z(hop(v, r)), σ(C, θ)), where C is its
+component of T_k(G_Q): every seed community at the center lies in C, and σ
+is monotone in the seed set (DESIGN.md §3, "Component σ bound").
 
 The traversal terminates early as soon as the popped key cannot beat the
 current top-L floor σ_L (heap order ⇒ nothing later can either).
@@ -17,9 +22,9 @@ current top-L floor σ_L (heap order ⇒ nothing later can either).
 :func:`refine` and :func:`rank` are the one refinement kernel and the one
 ranking rule of every online path: this traversal, the brute-force
 reference, the ATindex baseline and the dataflow variant. ``refine`` scores
-each distinct (g, θ) once per snapshot through ``LocalGraph.sigma_memo``;
-:func:`with_cpp` attaches the influenced community to the few answers
-scored from the memo.
+each distinct (g, θ) once per snapshot through ``LocalGraph.sigma_memo``
+(:func:`score`, which the component bound reads too); :func:`with_cpp`
+attaches the influenced community to the few answers scored from the memo.
 """
 from __future__ import annotations
 
@@ -27,7 +32,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.index import IndexNode
 from repro.core.keywords import bv_of
@@ -96,13 +101,22 @@ def refine(
     if g is None or g in seen:
         return None
     seen.add(g)
-    key = (g, query.theta)
+    sigma, cpp = score(local, g, query.theta)
+    return Community(center=center, vertices=g, sigma=sigma, cpp=cpp)
+
+
+def score(
+    local: LocalGraph, g: FrozenSet[int], theta: float
+) -> Tuple[float, Dict[int, float]]:
+    """σ(g, θ) and the influenced community it was computed from, or an
+    empty dict when σ comes from ``local.sigma_memo``; a miss is memoised."""
+    key = (g, theta)
     sigma = local.sigma_memo.get(key)
     if sigma is not None:
-        return Community(center=center, vertices=g, sigma=sigma)
-    cpp = local.influence(g, query.theta)
+        return sigma, {}
+    cpp = local.influence(g, theta)
     sigma = local.sigma_memo[key] = sigma_of(cpp)
-    return Community(center=center, vertices=g, sigma=sigma, cpp=cpp)
+    return sigma, cpp
 
 
 def with_cpp(
@@ -143,11 +157,14 @@ def topl_icde(
     use_score: bool = True,
     stats: Optional[PruningStats] = None,
 ) -> List[Community]:
-    """Algorithm 3. Returns up to L communities, best σ first.
+    """Algorithm 3. Returns up to L communities, best σ first, ordered by
+    :func:`rank`'s key (−σ, center).
 
     ``use_*`` flags switch individual pruning rules off for the ablation
     study (Fig. 4); with ``use_score=False`` the heap early-termination is
-    disabled too (it is the same Lemma 7 bound).
+    disabled too (it is the same Lemma 7 bound), and so is the component σ
+    bound. With ``use_support=False`` there is no keyword truss view, and
+    surviving leaf entries are refined where the leaf is expanded.
     """
     if not (1 <= query.r <= len(index.bv)):
         raise ValueError(f"query radius {query.r} outside precomputed [1, {len(index.bv)}]")
@@ -182,39 +199,68 @@ def topl_icde(
             return "score"
         return None
 
+    def offer(center: int) -> None:
+        """Refine ``center`` and keep its community if it enters the top L."""
+        stats.refined += 1
+        comm = refine(view, center, query, seen)
+        if comm is None:
+            return
+        if len(results) < query.L:
+            heapq.heappush(results, (comm.sigma, next(tiebreak), comm))
+        elif comm.sigma > results[0][0]:
+            heapq.heapreplace(results, (comm.sigma, next(tiebreak), comm))
+
     # Lemma 2 at the leaves: every seed community lies in T_k(G_Q), so a
     # center outside it hosts none, and the rest extract on its edges.
     view = local.keyword_truss(query.keywords, query.k) if use_support else local
 
+    centers = view.adj
+    # σ(C, θ) of the components met so far: one σ memo read per component,
+    # not one per center
+    bounds: Dict[FrozenSet[int], float] = {}
     heap: List[tuple] = [(-index.sigma[ri][z], next(tiebreak), index)]
     while heap:
-        neg_key, _, node = heapq.heappop(heap)
-        key = -neg_key
-        stats.visited_nodes += 1
-        if use_score and have_l() and key <= sigma_l():
-            # Lemma 7 on the heap order: every remaining entry is bounded by
-            # `key`, so the whole frontier is pruned at once.
-            stats.heap_terminated += sum(n.size for _, _, n in heap) + node.size
+        neg_key, _, item = heapq.heappop(heap)
+        is_node = isinstance(item, IndexNode)
+        stats.visited_nodes += is_node
+        if use_score and have_l() and -neg_key <= sigma_l():
+            # Lemma 7 on the heap order: every remaining node and entry is
+            # bounded by this key, so the whole frontier is pruned at once.
+            stats.heap_terminated += sum(n.size for _, _, n in heap) + item.size
             break
-        for item in node.entries if node.is_leaf else node.children:
-            reason = pruned_by(item)
+        if not is_node:
+            offer(item.vertex)
+            continue
+        leaf = item.is_leaf
+        for child in item.entries if leaf else item.children:
+            if leaf and use_support and child.vertex in centers:
+                # A center of T_k(G_Q) holds a query keyword and has an edge
+                # of support ≥ k−2 in hop(v, 1): only the score test can
+                # discard it, against the tighter of σ_z(hop(v, r)) and
+                # σ(C, θ) of its component C (DESIGN.md §3).
+                key = child.sigma[ri][z]
+                if use_score:
+                    whole = view.component(child.vertex)
+                    bound = bounds.get(whole)
+                    if bound is None:
+                        bound = bounds[whole] = score(view, whole, query.theta)[0]
+                    key = min(key, bound)
+                    if score_prune(key, sigma_l(), have_l()):
+                        stats.score += 1
+                        continue
+                heapq.heappush(heap, (-key, next(tiebreak), child))
+                continue
+            reason = pruned_by(child)
             if reason is not None:
-                setattr(stats, reason, getattr(stats, reason) + item.size)
-            elif not node.is_leaf:
-                heapq.heappush(heap, (-item.sigma[ri][z], next(tiebreak), item))
-            elif item.vertex not in view.adj:
+                setattr(stats, reason, getattr(stats, reason) + child.size)
+            elif not leaf:
+                heapq.heappush(heap, (-child.sigma[ri][z], next(tiebreak), child))
+            elif use_support:
                 stats.support += 1
             else:
-                stats.refined += 1
-                comm = refine(view, item.vertex, query, seen)
-                if comm is None:
-                    continue
-                if len(results) < query.L:
-                    heapq.heappush(results, (comm.sigma, next(tiebreak), comm))
-                elif comm.sigma > results[0][0]:
-                    heapq.heapreplace(results, (comm.sigma, next(tiebreak), comm))
+                offer(child.vertex)
 
-    ranked = [c for _, _, c in sorted(results, key=lambda t: (-t[0], t[1]))]
+    ranked = rank((c for _, _, c in results), query.L)
     return with_cpp(local, ranked, query.theta)
 
 

@@ -226,6 +226,11 @@ class LocalGraph:
         view._components = (k, components)
         return view
 
+    def component(self, v: int) -> FrozenSet[int]:
+        """On a :meth:`keyword_truss` view: ``v``'s connected component of
+        T_k(G_Q), which holds every seed community at ``v``."""
+        return self._components[1][v]
+
     # ----------------------------------------------------------------- k-core
     def kcore(self, vset: Set[int], k: int) -> Set[int]:
         """Maximal k-core of the induced subgraph on ``vset`` (case study)."""

@@ -3,7 +3,11 @@
 ``topl_icde`` (index + pruning), ``brute_force_topl`` (no pruning) and
 ``atindex_query`` (trussness filter) must return the same ranked σ lists on
 the clique-affiliation stand-ins and on Zipf keywords, not only on the NWS
-Uniform fixture. The last two share the refinement kernel and the ranking
+Uniform fixture: 42 seeded random queries per graph, each graph built
+through ``build_social_graph → offline_precompute → build_index`` at 120
+vertices. On the clique-affiliation graphs the components of T_k(G_Q) are
+large, so the component σ bound of ``topl_icde`` is loosest there. The last
+two share the refinement kernel and the ranking
 rule, and every center of a k-truss community has trussness ≥ k, so they
 must also return the same vertex sets in the same order.
 
@@ -17,6 +21,7 @@ import itertools
 import random
 
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core.baseline import atindex_offline, atindex_query
@@ -41,6 +46,10 @@ def prep(request, spark):
     return prep, atindex_offline(spark, prep.graph)
 
 
+#: 3 query seeds × 14 = 42 random queries per generated graph
+QUERIES_PER_SEED = 14
+
+
 def random_queries(count: int, seed: int):
     rng = random.Random(seed)
     for i in range(count):
@@ -60,7 +69,7 @@ def sigmas(answer):
 @pytest.mark.parametrize("qseed", [0, 1, 2])
 def test_three_methods_agree(prep, qseed):
     prep, vtruss = prep
-    for q in random_queries(4, qseed):
+    for q in random_queries(QUERIES_PER_SEED, qseed):
         fast = topl_icde(prep.local, prep.index, q, prep.pre.thetas)
         brute = brute_force_topl(prep.local, q)
         atindex = atindex_query(prep.local, vtruss, q)
@@ -136,3 +145,32 @@ def test_tied_sigma_is_a_tie():
     a, b = brute_force_topl(local, Query(frozenset({"kw1"}), 5, 1, 0.2, 2))
     assert {a.vertices, b.vertices} == {frozenset(range(5)), frozenset(range(5, 10))}
     assert round(a.sigma, 9) == round(b.sigma, 9)
+
+
+def tied_k5s_and_a_pendant():
+    """The two tied K5s, and vertex 10 (kw9 only) hanging off vertex 5 by
+    edges of weight 0.01. The hop balls of 5..9 score higher, so the index
+    reaches the K5 on 5..9 first, yet at θ ≥ 0.1 both K5s still score
+    exactly 5."""
+    verts, edges = two_tied_k5s()
+    verts = gen.vertices_pdf([*verts["keywords"], ["kw9"]])
+    pendant = gen.directed_weighted_edges(np.array([(5, 10)])).assign(weight=0.01)
+    return verts, pd.concat([edges, pendant], ignore_index=True)
+
+
+@pytest.mark.parametrize(
+    "hand_made", [tied_k5s_and_a_pendant], indirect=True, ids=["tied-pendant"]
+)
+def test_tied_answers_in_rank_order(hand_made):
+    """With room for both K5s, the traversal and the reference return the
+    same centers in the same order: both rank by (−σ, center), not by the
+    order in which the traversal found them."""
+    local, index, _ = hand_made
+    for k, r, theta in ((3, 1, 0.2), (5, 1, 0.2), (4, 2, 0.1), (5, 3, 0.3)):
+        q = Query(frozenset({"kw1"}), k, r, theta, L=3)
+        fast = topl_icde(local, index, q, P.THETAS)
+        brute = brute_force_topl(local, q)
+        assert [c.sigma for c in brute] == [5.0, 5.0], q
+        assert [(c.center, c.vertices) for c in fast] == [
+            (c.center, c.vertices) for c in brute
+        ], q

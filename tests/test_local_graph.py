@@ -13,8 +13,12 @@ import random
 import pandas as pd
 import pytest
 
+from repro.core import topl as topl_module
+from repro.core.index import build_index
 from repro.core.keywords import bv_of
-from repro.core.topl import Query, brute_force_topl, refine
+from repro.core.precompute import NO_EDGE_SUPPORT, Precomputed, z_index
+from repro.core.topl import Query, brute_force_topl, refine, topl_icde
+from repro.experiments import params as P
 from repro.graph import generators as gen
 from repro.graph.local import LocalGraph
 
@@ -647,3 +651,104 @@ class TestSigmaMemo:
         assert scored[2:] == [(ga, 0.3)] and other.cpp
         assert set(g.sigma_memo) == {(ga, 0.2), (gb, 0.2), (ga, 0.3)}
         assert g.sigma_memo is view.sigma_memo
+
+
+def driver_index(g: LocalGraph):
+    """The tree index over aggregates computed on ``g`` itself (what
+    Algorithm 2 computes in Spark), with the σ_z bound of every
+    (vertex, r) by (vertex, r)."""
+    rows, sigma_z = [], {}
+    for v in sorted(g.adj):
+        for r in range(1, P.R_MAX + 1):
+            hop = set(g.khop(v, r))
+            bv = 0
+            for u in hop:
+                bv |= g.bv[u]
+            sup = max(
+                (g.support[(a, b)] for a in hop for b in g.adj[a] if a < b and b in hop),
+                default=NO_EDGE_SUPPORT,
+            )
+            sigma_z[v, r] = [g.sigma(hop, t) for t in P.THETAS]
+            rows.append([v, r, g.bv[v], bv, sup, *sigma_z[v, r]])
+    pdf = pd.DataFrame(
+        rows,
+        columns=["vertex", "r", "bv_self", "bv_r", "ub_sup_r"]
+        + [f"sigma_{z}" for z in range(len(P.THETAS))],
+    )
+    return build_index(Precomputed(pdf=pdf, thetas=P.THETAS, r_max=P.R_MAX)), sigma_z
+
+
+class TestComponentBound:
+    """σ(C, θ) of a center's component C of T_k(G_Q) bounds the σ of every
+    seed community at the center, and ``topl_icde`` prunes with it."""
+
+    THETAS = (0.1, 0.15, 0.2, 0.3, 0.45)
+
+    def test_component_sigma_bounds_seed_community(self, generated_graphs):
+        """σ is read as ``refine`` reads it, through the σ memo: when the
+        community is the whole component, both are one memo entry."""
+        rng = random.Random(43)
+        for g in generated_graphs:
+            g = fresh(g)
+            vocab = sorted({w for kws in g.keywords.values() for w in kws})
+            checked = 0
+            for k in range(2, 8):
+                for _ in range(2):
+                    query = set(rng.sample(vocab, rng.randint(1, 6)))
+                    r, theta = rng.randint(1, 3), rng.choice(self.THETAS)
+                    view = g.keyword_truss(query, k)
+                    for center in view.adj:
+                        comm = g.seed_community(center, r, k, query)
+                        if comm is None:
+                            continue
+                        whole = view.component(center)
+                        assert comm <= whole, (center, r, k, query)
+                        bound, _ = topl_module.score(g, whole, theta)
+                        assert bound >= topl_module.score(g, comm, theta)[0], (
+                            center, r, k, query,
+                        )
+                        checked += 1
+            assert checked, "no seed community to bound"
+
+    def test_bound_prunes_and_misses_in_topl_icde(self, generated_graphs, monkeypatch):
+        """Per graph, the Lemma 4 test on some center of T_k(G_Q) prunes
+        with the component bound where σ_z(hop(v, r)) alone would not, and
+        on another center the bound is below σ_z yet does not prune."""
+        decisions = []  # (vertex, key tested, σ_L, have_l, pruned)
+        pending = []
+        component, prune = LocalGraph.component, topl_module.score_prune
+
+        def recording_component(self, v):
+            pending.append(v)
+            return component(self, v)
+
+        def recording_prune(key, sigma_l, have_l):
+            pruned = prune(key, sigma_l, have_l)
+            if pending:
+                decisions.append((pending.pop(), key, sigma_l, have_l, pruned))
+            return pruned
+
+        monkeypatch.setattr(LocalGraph, "component", recording_component)
+        monkeypatch.setattr(topl_module, "score_prune", recording_prune)
+        rng = random.Random(47)
+        for g in generated_graphs:
+            g = fresh(g)
+            index, sigma_z = driver_index(g)
+            vocab = sorted({w for kws in g.keywords.values() for w in kws})
+            fires = misses = 0
+            for _ in range(20):
+                q = Query(
+                    keywords=frozenset(rng.sample(vocab, rng.randint(2, 6))),
+                    k=rng.randint(2, 5), r=rng.randint(1, 3),
+                    theta=rng.choice(self.THETAS), L=rng.randint(1, 10),
+                )
+                decisions.clear()
+                got = topl_icde(g, index, q, P.THETAS)
+                assert [c.sigma for c in got] == [c.sigma for c in brute_force_topl(g, q)], q
+                z = z_index(P.THETAS, q.theta)
+                for v, key, sigma_l, have_l, pruned in decisions:
+                    loose = sigma_z[v, q.r][z]
+                    assert key <= loose
+                    fires += pruned and not prune(loose, sigma_l, have_l)
+                    misses += not pruned and key < loose
+            assert fires and misses, (fires, misses)

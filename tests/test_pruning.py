@@ -72,16 +72,14 @@ class TestSafety:
         want = brute_force_topl(prepared_small.local, q)
         assert [round(c.sigma, 6) for c in got] == [round(c.sigma, 6) for c in want]
 
-    @pytest.mark.parametrize(
-        "flags",
-        [
-            dict(use_keyword=False, use_support=False, use_score=False),
-            dict(use_keyword=True, use_support=False, use_score=False),
-            dict(use_keyword=True, use_support=True, use_score=False),
-            dict(use_keyword=False, use_support=True, use_score=True),
-        ],
-        ids=["none", "kw", "kw+sup", "sup+score"],
-    )
+    FLAG_SETS = {
+        "none": dict(use_keyword=False, use_support=False, use_score=False),
+        "kw": dict(use_keyword=True, use_support=False, use_score=False),
+        "kw+sup": dict(use_keyword=True, use_support=True, use_score=False),
+        "sup+score": dict(use_keyword=False, use_support=True, use_score=True),
+    }
+
+    @pytest.mark.parametrize("flags", list(FLAG_SETS.values()), ids=list(FLAG_SETS))
     def test_any_flag_combination_is_exact(self, prepared_small, flags):
         q = self.QUERIES[0]
         got = topl_icde(
@@ -108,15 +106,18 @@ class TestSafety:
         assert refined == sorted(refined, reverse=True)
 
     def test_counters_partition_candidates(self, prepared_small):
-        """pruned + refined ≤ |V| (heap termination may skip the rest)."""
-        q = self.QUERIES[0]
-        st = PruningStats()
-        topl_icde(
-            prepared_small.local, prepared_small.index, q, prepared_small.pre.thetas, stats=st
-        )
+        """Every vertex is counted once: refined, or charged to one prune
+        (the heap stop counts each node and entry left in the heap)."""
         n = len(prepared_small.local.adj)
-        assert st.refined + st.total_pruned <= n
-        assert st.refined >= 0 and st.total_pruned >= 0
+        for name, flags in [("default", {}), *self.FLAG_SETS.items()]:
+            for q in self.QUERIES:
+                st = PruningStats()
+                topl_icde(
+                    prepared_small.local, prepared_small.index, q,
+                    prepared_small.pre.thetas, stats=st, **flags,
+                )
+                assert st.refined + st.total_pruned == n, (name, q, st)
+                assert min(astuple(st)) >= 0, (name, q, st)
 
 
 class TestSupportAccounting:
