@@ -22,7 +22,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from pyspark.sql import SparkSession
 
-from repro.core.topl import Community, Query, rank, refine, with_cpp
+from repro.core.topl import Community, Query, rank, refine
 from repro.graph.local import LocalGraph
 from repro.graph.types import SocialGraph
 
@@ -85,5 +85,4 @@ def atindex_query(
         k = max(1, int(len(candidates) * sample))
         candidates = sorted(rng.sample(candidates, k))
     seen: Set[FrozenSet[int]] = set()
-    ranked = rank((refine(local, v, query, seen) for v in candidates), query.L)
-    return with_cpp(local, ranked, query.theta)
+    return rank((refine(local, v, query, seen) for v in candidates), query.L)

@@ -163,6 +163,10 @@ def dtopl_icde(
         L=query.L * n,
     )
     pool = topl_icde(local, index, pool_query, thetas)
+    # Eq. 6 reads every candidate's influenced community: compute each one
+    # here, so that the selection below does the diversification alone.
+    for c in pool:
+        c.cpp
     if method == "wp":
         return greedy_wp(pool, query.L, stats)
     if method == "wop":

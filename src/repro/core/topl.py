@@ -23,8 +23,9 @@ current top-L floor σ_L (heap order ⇒ nothing later can either).
 ranking rule of every online path: this traversal, the brute-force
 reference, the ATindex baseline and the dataflow variant. ``refine`` scores
 each distinct (g, θ) once per snapshot through ``LocalGraph.sigma_memo``
-(:func:`score`, which the component bound reads too); :func:`with_cpp`
-attaches the influenced community to the few answers scored from the memo.
+(:func:`score`, which the component bound reads too). TopL ranks by σ
+alone, so an answer's influenced community (``Community.cpp``) is computed
+only when something reads it: DTopL's diversity score does (Eq. 6).
 """
 from __future__ import annotations
 
@@ -70,17 +71,54 @@ class Query:
             raise ValueError(f"L={self.L}: at least one community must be asked for")
 
 
-@dataclass
+@dataclass(init=False)
 class Community:
-    """A seed community answer with its influenced community attached."""
+    """A seed community answer: its center, vertex set g and σ(g, θ).
+
+    :attr:`cpp` is the influenced community. It is given at construction,
+    or computed on its first read from the graph and θ the community was
+    scored at, and then kept. ``repr`` and ``==`` cover center, vertices
+    and σ, and compute nothing.
+    """
 
     center: int
     vertices: FrozenSet[int]
     sigma: float
-    #: cpp(g, v) over g^Inf — carried so DTopL-ICDE can reuse it (Eq. 6);
-    #: empty on a :func:`refine` result scored from the σ memo until
-    #: :func:`with_cpp` attaches it
-    cpp: Dict[int, float] = field(default_factory=dict, repr=False)
+    _cpp: Optional[Dict[int, float]] = field(default=None, repr=False, compare=False)
+    #: (full graph, θ) that :attr:`cpp` is computed at; never a keyword
+    #: truss view, so an answer does not keep the per-query view alive
+    _scored_at: Optional[Tuple[LocalGraph, float]] = field(
+        default=None, repr=False, compare=False
+    )
+
+    def __init__(
+        self,
+        center: int,
+        vertices: FrozenSet[int],
+        sigma: float,
+        cpp: Optional[Dict[int, float]] = None,
+        *,
+        graph: Optional[LocalGraph] = None,
+        theta: Optional[float] = None,
+    ) -> None:
+        if (graph is None) != (theta is None):
+            raise ValueError("graph and theta go together")
+        self.center, self.vertices, self.sigma, self._cpp = center, vertices, sigma, cpp
+        self._scored_at = None if graph is None else (graph.snapshot, theta)
+
+    @property
+    def cpp(self) -> Dict[int, float]:
+        """cpp(g, v) over g^Inf (Eq. 6): ``influence(vertices, θ)``.
+
+        Raises ValueError on a community built with neither ``cpp`` nor a
+        graph: an influenced community always holds g, so none is empty.
+        """
+        if self._cpp is None:
+            if self._scored_at is None:
+                raise ValueError(f"community at {self.center} has no cpp and no graph")
+            graph, theta = self._scored_at
+            self._cpp = graph.influence(self.vertices, theta)
+        return self._cpp
 
 
 def refine(
@@ -93,42 +131,30 @@ def refine(
     ``seen`` and returns it with σ (Eq. 5). The ``seen`` check runs before
     scoring because many centers of one community extract the same vertex
     set. σ comes from ``local.sigma_memo`` when an earlier query scored the
-    same (g, θ); the community then carries no ``cpp`` until
-    :func:`with_cpp` attaches it. Otherwise the influenced community is
-    computed, carried and its σ memoised.
+    same (g, θ), with no influence call; the community's ``cpp`` is then
+    computed if it is read. Otherwise the influenced community is computed,
+    kept on the community and its σ memoised.
     """
     g = local.seed_community(center, query.r, query.k, query.keywords)
     if g is None or g in seen:
         return None
     seen.add(g)
     sigma, cpp = score(local, g, query.theta)
-    return Community(center=center, vertices=g, sigma=sigma, cpp=cpp)
+    return Community(center, g, sigma, cpp, graph=local, theta=query.theta)
 
 
 def score(
     local: LocalGraph, g: FrozenSet[int], theta: float
-) -> Tuple[float, Dict[int, float]]:
-    """σ(g, θ) and the influenced community it was computed from, or an
-    empty dict when σ comes from ``local.sigma_memo``; a miss is memoised."""
+) -> Tuple[float, Optional[Dict[int, float]]]:
+    """σ(g, θ) and the influenced community it was computed from, or None
+    when σ comes from ``local.sigma_memo``; a miss is memoised."""
     key = (g, theta)
     sigma = local.sigma_memo.get(key)
     if sigma is not None:
-        return sigma, {}
+        return sigma, None
     cpp = local.influence(g, theta)
     sigma = local.sigma_memo[key] = sigma_of(cpp)
     return sigma, cpp
-
-
-def with_cpp(
-    local: LocalGraph, communities: List[Community], theta: float
-) -> List[Community]:
-    """Attach ``cpp`` to the communities :func:`refine` scored from the σ
-    memo (an influenced community is never empty: it holds g); returns
-    ``communities``."""
-    for c in communities:
-        if not c.cpp:
-            c.cpp = local.influence(c.vertices, theta)
-    return communities
 
 
 def rank(communities: Iterable[Optional[Community]], L: int) -> List[Community]:
@@ -187,11 +213,10 @@ def topl_icde(
     def pruned_by(item) -> Optional[str]:
         """The ``PruningStats`` field charged for discarding ``item`` (a leaf
         entry or a child node), or None if it survives."""
-        # Lemma 1/5 twice: on the hop subgraph's aggregated bit vector and
-        # on the center's own (the center must be in g, Def. 2).
-        if use_keyword and (
-            keyword_prune(item.bv[ri], qbv) or keyword_prune(item.bv_self, qbv)
-        ):
+        # Lemma 1/5 on the centers' own bit vectors (the center must be
+        # in g, Def. 2). Every hop holds its center, so bv[ri] ⊇ bv_self:
+        # the test on the hop's bit vector would never prune more.
+        if use_keyword and keyword_prune(item.bv_self, qbv):
             return "keyword"
         if use_support and support_prune(item.ub_sup[ri], query.k):
             return "support"
@@ -260,8 +285,7 @@ def topl_icde(
             else:
                 offer(child.vertex)
 
-    ranked = rank((c for _, _, c in results), query.L)
-    return with_cpp(local, ranked, query.theta)
+    return rank((c for _, _, c in results), query.L)
 
 
 def brute_force_topl(
@@ -272,7 +296,6 @@ def brute_force_topl(
     Used by tests to prove the pruned traversal exact.
     """
     seen: Set[FrozenSet[int]] = set()
-    ranked = rank(
+    return rank(
         (refine(local, v, query, seen) for v in sorted(local.vertices())), query.L
     )
-    return with_cpp(local, ranked, query.theta)

@@ -93,9 +93,11 @@ def topl_icde_spark(
             )
             found = (
                 Community(
-                    center=row.center,
-                    vertices=frozenset(int(x) for x in row.members.split(",")),
-                    sigma=row.sigma,
+                    row.center,
+                    frozenset(int(x) for x in row.members.split(",")),
+                    row.sigma,
+                    graph=local,
+                    theta=query.theta,
                 )
                 for row in refined
             )

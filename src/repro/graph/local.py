@@ -20,16 +20,17 @@ on the graph (shared with its keyword truss views), so communities that
 share seed vertices, within a query or across queries, reuse them.
 
 Each distinct community is scored once (DESIGN.md §3): a keyword truss view
-records its connected components, and :meth:`LocalGraph.seed_community`
-returns a center's component outright when the depth-r ball covers it; the
-graph and its views share a σ(g, θ) memo (``sigma_memo``) that
-:func:`repro.core.topl.refine` reads before computing influence.
+records its (Q, k) and connected components, and
+:meth:`LocalGraph.seed_community` returns a center's component outright when
+the depth-r ball covers it; the graph and its views share a σ(g, θ) memo
+(``sigma_memo``) that :func:`repro.core.topl.refine` reads before computing
+influence, and the keyword -> vertices map that gives each view its V_Q.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 import pandas as pd
 
@@ -39,6 +40,19 @@ from repro.graph.types import validate_frames
 EPS = 1e-12
 
 _NO_KEYWORDS: FrozenSet[str] = frozenset()
+
+
+class _Peeled(NamedTuple):
+    """What a :meth:`LocalGraph.keyword_truss` view was peeled from."""
+
+    #: the full graph (views share its ``out`` and memos)
+    snapshot: "LocalGraph"
+    #: the query keywords Q and the k of T_k(G_Q)
+    query: FrozenSet[str]
+    k: int
+    #: vertex -> its connected component, one frozenset shared by the
+    #: component's vertices
+    components: Dict[int, FrozenSet[int]]
 
 
 @dataclass
@@ -71,11 +85,14 @@ class LocalGraph:
     _support: Optional[Dict[Tuple[int, int], int]] = field(
         default=None, init=False, repr=False, compare=False
     )
-    #: on a :meth:`keyword_truss` view: (k it was peeled at, vertex ->
-    #: its connected component, one frozenset shared by the component's
-    #: vertices). ``init=False``: ``replace`` copies and the full snapshot
-    #: hold None.
-    _components: Optional[Tuple[int, Dict[int, FrozenSet[int]]]] = field(
+    #: keyword -> the vertices holding it, built by the first
+    #: :meth:`holding` call; ``init=True`` for the same sharing as ``_arbo``.
+    _holders: Dict[str, Set[int]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    #: how a :meth:`keyword_truss` view was peeled. ``init=False``:
+    #: ``replace`` copies and the full snapshot hold None.
+    _view: Optional["_Peeled"] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -106,6 +123,27 @@ class LocalGraph:
 
     def undirected_edges(self) -> List[Tuple[int, int]]:
         return [(u, v) for u, nbrs in self.adj.items() for v in nbrs if u < v]
+
+    @property
+    def snapshot(self) -> "LocalGraph":
+        """The full graph: this one, or the one a view was peeled from."""
+        return self if self._view is None else self._view.snapshot
+
+    def holding(self, query: Iterable[str]) -> Set[int]:
+        """V_Q: the vertices of this graph holding a keyword of ``query``.
+
+        Read from a keyword -> vertices map of the full graph, built on the
+        first call and shared with its views, so a query costs one union
+        over its keywords instead of a scan of every vertex.
+        """
+        holders = self._holders
+        if not holders:
+            kw = self.keywords
+            for v in self.snapshot.adj:
+                for w in kw.get(v, _NO_KEYWORDS):
+                    holders.setdefault(w, set()).add(v)
+        vq = set().union(*(holders.get(w, ()) for w in query))
+        return vq if self._view is None else vq & self.adj.keys()
 
     @property
     def support(self) -> Dict[Tuple[int, int], int]:
@@ -204,13 +242,12 @@ class LocalGraph:
         graph, so influence is unchanged and what is built through either
         serves both.
 
-        The view also records its connected components, which
-        :meth:`seed_community` returns without peeling when its candidate
+        The view also records (Q, k) and its connected components:
+        :meth:`seed_community` asked at the same (Q, k) skips the keyword
+        test, and returns a component without peeling when its candidate
         BFS covers one.
         """
-        kw = self.keywords
-        vq = {v for v in self.adj if not kw.get(v, _NO_KEYWORDS).isdisjoint(query)}
-        nbr = self._truss_nbr(vq, k)
+        nbr = self._truss_nbr(self.holding(query), k)
         components: Dict[int, FrozenSet[int]] = {}
         for v in nbr:
             if v not in components:
@@ -223,13 +260,13 @@ class LocalGraph:
                 whole = frozenset(comp)
                 components.update(dict.fromkeys(whole, whole))
         view = replace(self, adj=nbr)
-        view._components = (k, components)
+        view._view = _Peeled(self.snapshot, frozenset(query), k, components)
         return view
 
     def component(self, v: int) -> FrozenSet[int]:
         """On a :meth:`keyword_truss` view: ``v``'s connected component of
         T_k(G_Q), which holds every seed community at ``v``."""
-        return self._components[1][v]
+        return self._view.components[v]
 
     # ----------------------------------------------------------------- k-core
     def kcore(self, vset: Set[int], k: int) -> Set[int]:
@@ -271,10 +308,14 @@ class LocalGraph:
         component, with no peel. The component of a k-truss is a k-truss,
         the BFS reached all of it within depth r over its own edges, and
         every seed community at the center is connected inside the view,
-        so it is the maximal one.
+        so it is the maximal one. On a view peeled at this (``query``, k),
+        every vertex holds a query keyword, so the keyword test is skipped.
         """
-        kw, adj = self.keywords, self.adj
-        if center not in adj or kw.get(center, _NO_KEYWORDS).isdisjoint(query):
+        kw, adj, view = self.keywords, self.adj, self._view
+        if center not in adj:
+            return None
+        held = view is not None and view.k == k and view.query == query
+        if not held and kw.get(center, _NO_KEYWORDS).isdisjoint(query):
             return None
         cand = {center}
         frontier = [center]
@@ -282,13 +323,14 @@ class LocalGraph:
             nxt = []
             for u in frontier:
                 for v in adj[u]:
-                    if v not in cand and not kw.get(v, _NO_KEYWORDS).isdisjoint(query):
+                    if v not in cand and (
+                        held or not kw.get(v, _NO_KEYWORDS).isdisjoint(query)
+                    ):
                         cand.add(v)
                         nxt.append(v)
             frontier = nxt
-        components = self._components
-        if components is not None and components[0] == k:
-            whole = components[1][center]
+        if view is not None and view.k == k:
+            whole = view.components[center]
             if len(cand) == len(whole):
                 return whole
         nbr = self._nbr(cand)

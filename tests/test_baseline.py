@@ -11,7 +11,7 @@ import pytest
 
 from repro.core import diversify
 from repro.core.baseline import atindex_offline, atindex_query, edge_trussness
-from repro.core.topl import Query, brute_force_topl, topl_icde
+from repro.core.topl import Community, Query, brute_force_topl, topl_icde
 from repro.graph import generators as gen
 from repro.graph.local import LocalGraph
 from tests.test_local_graph import make_local
@@ -55,6 +55,47 @@ def test_answers_carry_cpp_after_warm_memo(prepared_small, vtruss, monkeypatch):
             assert got and all((c.vertices, q.theta) in warm for c in got), name
             for c in got:
                 assert c.cpp == local.influence(c.vertices, q.theta), name
+
+
+def test_no_influence_call_on_a_warm_memo(prepared_small, vtruss, monkeypatch):
+    """Once the σ memo holds every community and component bound, the TopL
+    paths make no influence call: an answer's ``cpp`` is computed on its
+    first read, equal to ``local.influence(g, θ)``, and ``repr`` and ``==``
+    compute nothing. On a fresh snapshot, ``topl_icde`` calls influence at
+    most once per distinct (g, θ)."""
+    local, index, thetas = prepared_small.local, prepared_small.index, prepared_small.pre.thetas
+    influence, calls = LocalGraph.influence, []
+
+    def counting(self, seed, theta):
+        calls.append((frozenset(seed), theta))
+        return influence(self, seed, theta)
+
+    monkeypatch.setattr(LocalGraph, "influence", counting)
+    queries = (q_default(L=10, theta=0.15), q_default(k=3, r=1, L=8), q_default())
+    for q in queries:
+        brute_force_topl(local, dataclasses.replace(q, L=50))
+        topl_icde(local, index, q, thetas)
+        calls.clear()
+        answers = {
+            "topl": topl_icde(local, index, q, thetas),
+            "brute": brute_force_topl(local, q),
+            "atindex": atindex_query(local, vtruss, q),
+        }
+        assert calls == [], q
+        for name, got in answers.items():
+            assert got, name
+            assert all("cpp" not in repr(c) for c in got), name
+            assert all(c == Community(c.center, c.vertices, c.sigma) for c in got), name
+            assert calls == [], name
+            for c in got:
+                assert c.cpp == influence(local, c.vertices, q.theta), name
+            assert calls == [(c.vertices, q.theta) for c in got], name
+            calls.clear()
+
+    g = LocalGraph(adj=local.adj, out=local.out, keywords=local.keywords, bv=local.bv)
+    for q in queries:
+        topl_icde(g, index, q, thetas)
+    assert calls and len(calls) == len(set(calls)), calls
 
 
 def test_vertex_trussness_sound(vtruss, prepared_small):

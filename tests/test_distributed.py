@@ -20,10 +20,14 @@ def q_default(**overrides):
     ids=["default", "k3L3", "r1t01"],
 )
 def test_matches_driver_algorithm(spark, prepared_small, q):
-    got = topl_icde_spark(spark, prepared_small.pre, prepared_small.local, q)
-    want = topl_icde(prepared_small.local, prepared_small.index, q, prepared_small.pre.thetas)
+    local = prepared_small.local
+    got = topl_icde_spark(spark, prepared_small.pre, local, q)
+    want = topl_icde(local, prepared_small.index, q, prepared_small.pre.thetas)
     assert [round(c.sigma, 6) for c in got] == [round(c.sigma, 6) for c in want]
     assert {c.vertices for c in got} == {c.vertices for c in want}
+    for c in got:
+        assert c.cpp == local.influence(c.vertices, q.theta)
+        assert c.sigma == pytest.approx(sum(c.cpp.values()))
 
 
 def test_small_batches_early_stop(spark, prepared_small):

@@ -57,6 +57,15 @@ def test_height_consistent(index, prepared_small):
     assert index.height() <= math.ceil(math.log(max(n, 2), 2)) + 1
 
 
+def test_hop_bit_vector_covers_the_centers(index):
+    """Every hop holds its center, so at every node and entry bv_r ⊇
+    bv_self: the Lemma 1/5 test on bv_self alone prunes all it can."""
+    for node in walk(index):
+        for item in [node, *(node.entries or ())]:
+            for bv_r in item.bv:
+                assert bv_r & item.bv_self == item.bv_self
+
+
 def test_aggregates_cover_children(index):
     """Non-leaf aggregates must dominate every child (bit-OR superset,
     max support, max σ) — the soundness condition for Lemmas 5–7."""

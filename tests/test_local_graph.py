@@ -577,6 +577,56 @@ class TestKeywordTruss:
         assert view.seed_community(0, 2, 3, {"kw1"}) == frozenset(range(4))
         assert g.seed_community(0, 2, 3, {"kw1"}) == frozenset(range(4))
 
+    def test_holding_equals_the_keyword_scan(self, generated_graphs):
+        """V_Q read from the keyword map is the scan over every vertex,
+        vertices without edges included; the map is built once per graph
+        and shared with its views."""
+        kws = {0: ["a"], 1: ["a", "b"], 2: ["c"], 3: ["a"], 4: ["b", "c"], 5: ["d"]}
+        g = make_local([(0, 1), (0, 2), (1, 2)], n=6, keywords=kws)
+        assert not g.adj[3] and not g.adj[4]
+        for query in ({"a"}, {"b"}, {"a", "c"}, {"d"}, {"b", "zz"}, {"zz"}, set()):
+            assert g.holding(query) == {v for v in g.adj if g.keywords[v] & query}, query
+        assert g.holding({"a", "b"}) == {0, 1, 3, 4}
+        rng = random.Random(53)
+        for g in generated_graphs:
+            g = fresh(g)
+            vocab = sorted({w for kws in g.keywords.values() for w in kws})
+            for _ in range(10):
+                query = set(rng.sample(vocab, rng.randint(1, 6))) | {"not-a-keyword"}
+                want = {v for v in g.adj if g.keywords[v] & query}
+                assert g.holding(query) == want, query
+                view = g.keyword_truss(query, rng.randint(2, 5))
+                assert view._holders is g._holders
+                assert view.holding(query) == want & view.adj.keys()
+
+    def test_view_asked_at_another_query_keeps_the_keyword_test(self, generated_graphs):
+        """K4 on 0..3 where 0-2 hold kw1 and 3 holds kw2: the view at
+        ({kw1, kw2}, 3) asked with {kw1} drops 3, and every view asked with
+        Q′ ≠ Q extracts what the plain fixpoint extracts on the view."""
+        kws = {0: ["kw1"], 1: ["kw1"], 2: ["kw1"], 3: ["kw2"]}
+        g = make_local(list(itertools.combinations(range(4), 2)), keywords=kws)
+        view = g.keyword_truss({"kw1", "kw2"}, 3)
+        assert view.seed_community(0, 1, 3, {"kw1", "kw2"}) == frozenset(range(4))
+        assert view.seed_community(0, 1, 3, {"kw1"}) == frozenset(range(3))
+        assert view.seed_community(3, 1, 3, {"kw1"}) is None
+        assert view.seed_community(0, 1, 3, {"kw2"}) is None
+        rng = random.Random(59)
+        for g in generated_graphs:
+            vocab = sorted({w for kws in g.keywords.values() for w in kws})
+            checked = 0
+            for _ in range(6):
+                query = set(rng.sample(vocab, rng.randint(2, 6)))
+                other = set(rng.sample(sorted(query), len(query) - 1))
+                k, r = rng.randint(2, 5), rng.randint(1, 3)
+                view = g.keyword_truss(query, k)
+                for center in view.adj:
+                    got = view.seed_community(center, r, k, other)
+                    assert got == reference_seed_community(view, center, r, k, other), (
+                        center, r, k, other,
+                    )
+                    checked += got is not None
+            assert checked, "no community at another query"
+
 
 class TestSigmaMemo:
     """``refine`` scores each (g, θ) once per snapshot; no answer depends on
@@ -618,7 +668,9 @@ class TestSigmaMemo:
 
     def test_view_and_graph_share_memo(self, local_medium, monkeypatch):
         """A community scored through the view is a hit through the graph,
-        and the other way round; another θ is a miss."""
+        and the other way round; another θ is a miss. A hit makes no
+        influence call in ``refine``; the first read of its ``cpp`` makes
+        one, equal to the miss's, and a second read makes none."""
         g = fresh(local_medium)
         scored = []
         influence = LocalGraph.influence
@@ -639,16 +691,19 @@ class TestSigmaMemo:
         first = refine(view, a, q, set())
         assert scored == [(ga, 0.2)] and first.cpp
         hit = refine(g, a, q, set())
-        assert scored == [(ga, 0.2)] and hit.cpp == {}
+        assert scored == [(ga, 0.2)]
         assert (hit.vertices, hit.sigma) == (first.vertices, first.sigma)
+        # the first read of the hit's cpp computes it, later reads keep it
+        assert hit.cpp == first.cpp and scored == [(ga, 0.2), (ga, 0.2)]
+        assert hit.cpp == first.cpp and len(scored) == 2
 
         second = refine(g, b, q, set())
-        assert scored[1:] == [(gb, 0.2)] and second.cpp
+        assert scored[2:] == [(gb, 0.2)] and second.cpp
         hit = refine(view, b, q, set())
-        assert scored[1:] == [(gb, 0.2)] and hit.sigma == second.sigma
+        assert scored[2:] == [(gb, 0.2)] and hit.sigma == second.sigma
 
         other = refine(view, a, dataclasses.replace(q, theta=0.3), set())
-        assert scored[2:] == [(ga, 0.3)] and other.cpp
+        assert scored[3:] == [(ga, 0.3)] and other.cpp
         assert set(g.sigma_memo) == {(ga, 0.2), (gb, 0.2), (ga, 0.3)}
         assert g.sigma_memo is view.sigma_memo
 

@@ -170,3 +170,18 @@ def test_query_rejects_invalid_parameters(bad):
 
 def test_query_accepts_boundary_values():
     q_default(L=1, k=2, r=1, theta=1.0, keywords=frozenset({"kw0"}))
+
+
+def test_community_cpp_is_given_or_computed_once(prepared_small):
+    """A given ``cpp`` is kept; one scored on a graph is computed on its
+    first read; with neither, reading it raises rather than reading {}."""
+    local = prepared_small.local
+    given = Community(3, frozenset({3}), 1.0, cpp={3: 1.0})
+    assert given.cpp == {3: 1.0}
+    g = frozenset(local.adj[3] | {3})
+    scored = Community(3, g, local.sigma(g, 0.2), graph=local, theta=0.2)
+    assert scored.cpp == local.influence(g, 0.2) and scored.cpp is scored.cpp
+    with pytest.raises(ValueError):
+        Community(3, g, 1.0).cpp
+    with pytest.raises(ValueError):
+        Community(3, g, 1.0, graph=local)
