@@ -10,21 +10,24 @@ online phase runs against this collected snapshot, while the *offline* phase
 
 Everything here is pure Python + stdlib (heapq), deterministic, and sized for
 graphs that fit comfortably on the driver (≤ a few hundred thousand edges).
-Seed-community extraction, :meth:`LocalGraph.ktruss`, the per-query
-keyword truss view (:meth:`LocalGraph.keyword_truss`) and hence ATindex's
-edge trussness share one queue-based k-truss peel (:class:`_Peel`) that
-counts support once and updates it as edges leave. Influence
-(:meth:`LocalGraph.influence`) merges per-source maximum influence
-out-arborescences, each built once by a max-product Dijkstra and memoised
-on the graph (shared with its keyword truss views), so communities that
-share seed vertices, within a query or across queries, reuse them.
+Seed-community extraction (where it peels), :meth:`LocalGraph.ktruss`,
+the per-query keyword truss view (:meth:`LocalGraph.keyword_truss`) and
+hence ATindex's edge trussness share one queue-based k-truss peel
+(:class:`_Peel`) that counts support once and updates it as edges leave.
+Influence (:meth:`LocalGraph.influence`) merges per-source maximum
+influence out-arborescences, each built once by a max-product Dijkstra and
+memoised on the graph (shared with its keyword truss views), so communities
+that share seed vertices, within a query or across queries, reuse them.
 
 Each distinct community is scored once (DESIGN.md §3): a keyword truss view
 records its (Q, k) and connected components, and
-:meth:`LocalGraph.seed_community` returns a center's component outright when
-the depth-r ball covers it; the graph and its views share a σ(g, θ) memo
-(``sigma_memo``) that :func:`repro.core.topl.refine` reads before computing
-influence, and the keyword -> vertices map that gives each view its V_Q.
+:meth:`LocalGraph.seed_community` on it returns a center's component
+outright when the depth-r ball covers it, and the ball itself when every
+edge between two vertices at depth r keeps k-2 triangles inside it (the
+ring test), peeling only when both miss; the graph and its views share a
+σ(g, θ) memo (``sigma_memo``) that :func:`repro.core.topl.refine` reads
+before computing influence, and the keyword -> vertices map that gives each
+view its V_Q.
 """
 from __future__ import annotations
 
@@ -309,7 +312,16 @@ class LocalGraph:
         the BFS reached all of it within depth r over its own edges, and
         every seed community at the center is connected inside the view,
         so it is the maximal one. On a view peeled at this (``query``, k),
-        every vertex holds a query keyword, so the keyword test is skipped.
+        every vertex holds a query keyword, so the keyword test is skipped;
+        and if the candidate set is not a whole component, only the edges
+        between two vertices of its ring (depth exactly r) need a triangle
+        count. Any other edge has an endpoint u at depth < r, so its common
+        neighbours in the view, all adjacent to u, lie within depth r and
+        it keeps the support ≥ k-2 it has in the view, a k-truss. If every
+        ring edge keeps k-2 common neighbours inside the candidate set, the
+        set is a k-truss within radius r that holds every seed community at
+        the center, and it is returned with no peel. Elsewhere, including
+        the full graph, which is no k-truss, the peel decides.
         """
         kw, adj, view = self.keywords, self.adj, self._view
         if center not in adj:
@@ -333,6 +345,15 @@ class LocalGraph:
             whole = view.components[center]
             if len(cand) == len(whole):
                 return whole
+            if held and r > 0:
+                ring = set(frontier)
+                if all(
+                    len(adj[u] & adj[v] & cand) >= k - 2
+                    for u in frontier
+                    for v in adj[u] & ring
+                    if u < v
+                ):
+                    return frozenset(cand)
         nbr = self._nbr(cand)
         peel = _Peel(nbr, k, center)
         if not peel.run():

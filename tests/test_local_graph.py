@@ -101,6 +101,15 @@ def fresh(g: LocalGraph) -> LocalGraph:
     return LocalGraph(adj=g.adj, out=g.out, keywords=g.keywords, bv=g.bv)
 
 
+def extraction_path(view, center, got, peels, started):
+    """Which path of ``seed_community`` on ``view`` gave ``got``: a peel
+    (``_Peel`` built since ``len(peels) == started``), the component
+    shortcut, or the ring test."""
+    if len(peels) > started:
+        return "peel"
+    return "component" if got == view.component(center) else "ring"
+
+
 K5_EDGES = list(itertools.combinations(range(5), 2))
 K4_EDGES = list(itertools.combinations(range(4), 2))
 PATH = [(0, 1), (1, 2), (2, 3), (3, 4)]
@@ -512,7 +521,7 @@ class TestKeywordTruss:
         for g in generated_graphs:
             vocab = sorted({w for kws in g.keywords.values() for w in kws})
             cut = 0
-            shortcut = {True: 0, False: 0}
+            paths = dict.fromkeys(("component", "ring", "peel"), 0)
             for _ in range(12):
                 query = set(rng.sample(vocab, rng.randint(1, 6)))
                 k, r = rng.randint(2, 6), rng.randint(1, 3)
@@ -530,25 +539,25 @@ class TestKeywordTruss:
                     assert view.seed_community(center, r, k, query) == got, (
                         center, r, k, query,
                     )
-                    shortcut[len(peels) == started] += 1
+                    paths[extraction_path(view, center, got, peels, started)] += 1
                     cut += view.adj[center] != g.adj[center] & vq
             assert cut > 0, "the view never cut a surviving center's adjacency"
-            assert all(shortcut.values()), f"component shortcut fired/missed: {shortcut}"
+            assert paths["component"] and paths["ring"], f"extraction paths: {paths}"
 
     def test_component_shortcut_on_a_chain_of_triangles(self, peels):
         """Triangles 0-1-2, 2-3-4 and 4-5-6 form a chain; triangle 7-8-9
-        stands alone. At k = 3, r = 1 the ball of 7 is its whole component
-        (no peel), the ball of 2 is not (peel). Both extract what the full
-        graph extracts; at another k the view peels as usual."""
+        stands alone. At k = 3, r = 1 the ball of 7 is its whole component;
+        the ball of 2 is not, but its ring edges 0-1 and 3-4 keep their
+        triangles through 2 (ring test). Neither peels, and both extract
+        what the full graph extracts; at another k the view peels as usual."""
         chain = [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4), (4, 5), (4, 6), (5, 6)]
         g = make_local(chain + [(7, 8), (7, 9), (8, 9)])
         q = {"kw0"}
         view = g.keyword_truss(q, 3)
         peels.clear()
         assert view.seed_community(7, 1, 3, q) == frozenset({7, 8, 9})
-        assert peels == []
         assert view.seed_community(2, 1, 3, q) == frozenset(range(5))
-        assert peels == [2]
+        assert peels == []
         for center in range(10):
             assert view.seed_community(center, 1, 3, q) == g.seed_community(center, 1, 3, q)
             assert view.seed_community(center, 3, 3, q) == g.seed_community(center, 3, 3, q)
@@ -557,6 +566,61 @@ class TestKeywordTruss:
         assert view.seed_community(7, 1, 4, q) is None
         assert g.seed_community(7, 1, 4, q) is None
         assert peels == [7, 7]
+
+    def test_ring_test_falls_back_to_the_peel(self, peels):
+        """Octahedron on 0..5 with opposite pairs 0-5, 1-2 and 3-4, at
+        k = 4: every edge is in two triangles, so the view keeps it whole.
+        At r = 1 each ring edge of center 0 closes its second triangle
+        through 5, at depth 2; the ring test fails, the peel runs and
+        removes every edge, as on the full graph. At r = 2 the ball is the
+        component. At r = 0 the ball has no edge."""
+        octahedron = [
+            (u, v)
+            for u, v in itertools.combinations(range(6), 2)
+            if {u, v} not in ({0, 5}, {1, 2}, {3, 4})
+        ]
+        g = make_local(octahedron)
+        q = {"kw0"}
+        view = g.keyword_truss(q, 4)
+        assert set(view.undirected_edges()) == set(octahedron)
+        peels.clear()
+        assert view.seed_community(0, 1, 4, q) is None
+        assert peels == [0]
+        assert g.seed_community(0, 1, 4, q) is None
+        assert view.seed_community(0, 0, 4, q) is None  # no edge within r = 0
+        assert g.seed_community(0, 0, 4, q) is None
+        peels.clear()
+        got = view.seed_community(0, 2, 4, q)
+        assert got is view.component(0) and peels == []
+        assert got == g.seed_community(0, 2, 4, q) == frozenset(range(6))
+
+    def test_ring_test_answers_are_seed_communities(self, generated_graphs, peels):
+        """Every set the ring test returns is a seed community (Def. 2),
+        checked without ``_Peel``: each of its edges in T_k(G_Q) has support
+        ≥ k−2 inside it, every vertex is within r of the center over those
+        edges and holds a query keyword, and it is what the plainly written
+        fixpoint extracts on the full graph."""
+        rng = random.Random(61)
+        for g in generated_graphs:
+            vocab = sorted({w for kws in g.keywords.values() for w in kws})
+            checked = 0
+            for _ in range(12):
+                query = set(rng.sample(vocab, rng.randint(1, 6)))
+                k, r = rng.randint(2, 6), rng.randint(1, 3)
+                view = g.keyword_truss(query, k)
+                for center in view.adj:
+                    started = len(peels)
+                    got = view.seed_community(center, r, k, query)
+                    if extraction_path(view, center, got, peels, started) != "ring":
+                        continue
+                    checked += 1
+                    support = view.induced_support(set(got))
+                    assert support and min(support.values()) >= k - 2, (center, r, k, query)
+                    dist = view.khop(center, r, allowed=set(got))
+                    assert dist.keys() == got, (center, r, k, query)
+                    assert all(g.keywords[v] & query for v in got)
+                    assert got == reference_seed_community(g, center, r, k, query)
+            assert checked, "the ring test never returned a community"
 
     def test_dangling_keyword_path_dropped(self):
         """Keyword K4 on 0..3 with keyword path 3-4-5; vertex 6 lacks the
