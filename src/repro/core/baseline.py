@@ -71,8 +71,10 @@ def atindex_query(
 
     ``sample`` (0 < f ≤ 1) processes only a random fraction of the candidate
     centers — the caller extrapolates wall-clock by 1/f exactly as the paper
-    does for DBLP.
+    does for DBLP. ValueError for an f outside (0, 1].
     """
+    if sample is not None and not 0 < sample <= 1:
+        raise ValueError(f"sample={sample} outside (0, 1]")
     candidates = [
         v
         for v in sorted(local.vertices())

@@ -5,10 +5,10 @@ All predicates are conservative: pruning power may be lost to bit-vector
 collisions or loose bounds, but a pruned candidate can never be a true
 answer — `tests/test_pruning.py` checks exactly that against brute force.
 
-Note on Lemma 6: the paper states the index-level support prune as
-``ub_sup_r < k``, but a k-truss only requires edge support ≥ k-2 (e.g. K4 is
-a 4-truss whose edges have support 2). We implement the safe form
-``ub_sup_r < k - 2`` (DESIGN.md §4).
+The support family (Lemmas 2/6) has no predicate here: Algorithm 3 tests
+it at the leaves as membership in the query's keyword truss T_k(G_Q)
+(:meth:`LocalGraph.keyword_truss`), which is stricter than the paper's
+``ub_sup_r`` bound and never prunes a valid center (DESIGN.md §4).
 """
 from __future__ import annotations
 
@@ -43,21 +43,9 @@ class PruningStats:
         return self.keyword + self.support + self.score + self.heap_terminated
 
 
-def keyword_prune(bv_r, query_bv: int):
-    """Lemmas 1/5: no vertex below this entry holds any query keyword.
-
-    ``bv_r`` may be an int or a pandas Series of bit vectors (then the
-    result is a boolean Series).
-    """
-    return (bv_r & query_bv) == 0
-
-
-def support_prune(ub_sup_r, k: int):
-    """Lemmas 2/6 (safe form): no edge can reach support k-2.
-
-    Like :func:`keyword_prune`, also applies elementwise to a Series.
-    """
-    return ub_sup_r < k - 2
+def keyword_prune(bv: int, query_bv: int) -> bool:
+    """Lemmas 1/5: no vertex below this entry holds any query keyword."""
+    return (bv & query_bv) == 0
 
 
 def score_prune(sigma_ub: float, sigma_l: float, have_l: bool) -> bool:

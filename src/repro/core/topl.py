@@ -2,16 +2,17 @@
 
 Best-first traversal of the tree index with one max-heap that holds index
 nodes, keyed by their influential-score upper bound ``N.σ_z``, and leaf
-centers, keyed by their own bound. Index entries are pruned with Lemmas
-5–7, leaf vertices with Lemmas 1/2/4; surviving centers are refined —
-maximal seed community extraction (Def. 2 fixpoint) plus the exact
-``calculate_influence`` — against the driver-side graph snapshot when the
-heap pops them.
+centers, keyed by their own bound. Index entries are pruned with the
+keyword test (Lemmas 1/5) and the score test (Lemmas 4/7); surviving
+centers are refined — maximal seed community extraction (Def. 2 fixpoint)
+plus the exact ``calculate_influence`` — against the driver-side graph
+snapshot when the heap pops them.
 
-At the leaves the support family (Lemma 2) is exact: the query's keyword
-k-truss T_k(G_Q) is peeled once per query (:meth:`LocalGraph.keyword_truss`),
-a center with no edge in it is charged to ``PruningStats.support``, and the
-others extract their communities on its edges (DESIGN.md §4). A center of
+The support family (Lemmas 2/6) is tested at the leaves only, and exactly:
+the query's keyword k-truss T_k(G_Q) is peeled once per query
+(:meth:`LocalGraph.keyword_truss`), a center with no edge in it is charged
+to ``PruningStats.support``, and the others extract their communities on
+its edges (DESIGN.md §4). A center of
 T_k(G_Q) is keyed by min(σ_z(hop(v, r)), σ(C, θ)), where C is its
 component of T_k(G_Q): every seed community at the center lies in C, and σ
 is monotone in the seed set (DESIGN.md §3, "Component σ bound").
@@ -38,12 +39,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 from repro.core.index import IndexNode
 from repro.core.keywords import bv_of
 from repro.core.precompute import z_index
-from repro.core.pruning import (
-    PruningStats,
-    keyword_prune,
-    score_prune,
-    support_prune,
-)
+from repro.core.pruning import PruningStats, keyword_prune, score_prune
 from repro.graph.local import LocalGraph
 from repro.influence.scores import sigma_of
 
@@ -192,8 +188,8 @@ def topl_icde(
     bound. With ``use_support=False`` there is no keyword truss view, and
     surviving leaf entries are refined where the leaf is expanded.
     """
-    if not (1 <= query.r <= len(index.bv)):
-        raise ValueError(f"query radius {query.r} outside precomputed [1, {len(index.bv)}]")
+    if not (1 <= query.r <= len(index.sigma)):
+        raise ValueError(f"query radius {query.r} outside precomputed [1, {len(index.sigma)}]")
     stats = stats if stats is not None else PruningStats()
     z = z_index(thetas, query.theta)
     ri = query.r - 1
@@ -214,12 +210,10 @@ def topl_icde(
         """The ``PruningStats`` field charged for discarding ``item`` (a leaf
         entry or a child node), or None if it survives."""
         # Lemma 1/5 on the centers' own bit vectors (the center must be
-        # in g, Def. 2). Every hop holds its center, so bv[ri] ⊇ bv_self:
-        # the test on the hop's bit vector would never prune more.
+        # in g, Def. 2). Every hop holds its center, so the test on the
+        # hop's bit vector would never prune more.
         if use_keyword and keyword_prune(item.bv_self, qbv):
             return "keyword"
-        if use_support and support_prune(item.ub_sup[ri], query.k):
-            return "support"
         if use_score and score_prune(item.sigma[ri][z], sigma_l(), have_l()):
             return "score"
         return None
@@ -259,10 +253,9 @@ def topl_icde(
         leaf = item.is_leaf
         for child in item.entries if leaf else item.children:
             if leaf and use_support and child.vertex in centers:
-                # A center of T_k(G_Q) holds a query keyword and has an edge
-                # of support ≥ k−2 in hop(v, 1): only the score test can
-                # discard it, against the tighter of σ_z(hop(v, r)) and
-                # σ(C, θ) of its component C (DESIGN.md §3).
+                # A center of T_k(G_Q) holds a query keyword: only the score
+                # test can discard it, against the tighter of σ_z(hop(v, r))
+                # and σ(C, θ) of its component C (DESIGN.md §3).
                 key = child.sigma[ri][z]
                 if use_score:
                     whole = view.component(child.vertex)
@@ -281,6 +274,7 @@ def topl_icde(
             elif not leaf:
                 heapq.heappush(heap, (-child.sigma[ri][z], next(tiebreak), child))
             elif use_support:
+                # no edge in T_k(G_Q), so no seed community (Lemma 2)
                 stats.support += 1
             else:
                 offer(child.vertex)

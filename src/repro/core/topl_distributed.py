@@ -1,13 +1,15 @@
 """Dataflow rendering of the online TopL-ICDE phase.
 
-The index-level prunes of Algorithm 3 (Lemmas 5/6) are the ``pruning.py``
-predicates applied to the collected precompute aggregates; surviving
-candidate centers are refined in parallel batches via ``mapInPandas`` over a
-broadcast graph snapshot, in descending score-bound order, with the paper's
-σ_L early stop (Lemma 7) applied *between* batches. Each worker runs the
-shared :func:`~repro.core.topl.refine` / :func:`~repro.core.topl.rank`
-kernel. Tests assert this returns exactly the same communities as the
-driver-side Algorithm 3 (`core/topl.py`).
+The candidate centers are the vertices of the query's keyword truss
+T_k(G_Q) (:meth:`LocalGraph.keyword_truss`), the test Algorithm 3 applies at
+its leaves: every other vertex fails the keyword or the support test
+(Lemmas 1/2) and hosts no seed community. The candidates are refined in
+parallel batches via ``mapInPandas`` over a broadcast graph snapshot, in
+descending σ_z(hop(v, r)) order, with the paper's σ_L early stop (Lemma 7)
+applied *between* batches. Each worker runs the shared
+:func:`~repro.core.topl.refine` / :func:`~repro.core.topl.rank` kernel.
+Tests assert this returns exactly the same communities as the driver-side
+Algorithm 3 (`core/topl.py`).
 
 This is the documented physical-operator substitution (DESIGN.md §3): the
 refinement is a DataFrame → DataFrame transformation — no JVM operator
@@ -21,9 +23,7 @@ from typing import Iterator, List
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.keywords import bv_of
 from repro.core.precompute import Precomputed, z_index
-from repro.core.pruning import keyword_prune, support_prune
 from repro.core.topl import Community, Query, rank, refine
 from repro.graph.local import LocalGraph
 
@@ -59,18 +59,15 @@ def topl_icde_spark(
     *,
     batch_size: int = 256,
 ) -> List[Community]:
-    """TopL-ICDE with predicate pruning + batched parallel refinement."""
-    qbv = bv_of(query.keywords)
+    """TopL-ICDE over the keyword truss's centers + batched parallel
+    refinement. Raises ValueError, as :func:`topl_icde` does, when the query
+    radius is outside the precomputed [1, r_max]."""
+    if not (1 <= query.r <= precomp.r_max):
+        raise ValueError(f"query radius {query.r} outside precomputed [1, {precomp.r_max}]")
     pdf = precomp.pdf[precomp.pdf["r"] == query.r]
-    keep = ~(
-        # Lemma 5 on the hop subgraph and on the center itself (Def. 2: v_q ∈ g)
-        keyword_prune(pdf["bv_r"], qbv)
-        | keyword_prune(pdf["bv_self"], qbv)
-        # Lemma 6 (safe form)
-        | support_prune(pdf["ub_sup_r"], query.k)
-    )
+    centers = local.keyword_truss(query.keywords, query.k).adj
     sig = f"sigma_{z_index(precomp.thetas, query.theta)}"
-    ranked = pdf.loc[keep, ["vertex", sig]].sort_values(
+    ranked = pdf.loc[pdf["vertex"].isin(list(centers)), ["vertex", sig]].sort_values(
         [sig, "vertex"], ascending=[False, True]
     )
 

@@ -5,9 +5,9 @@ Three cumulative combinations, each adding one pruning family:
 (score includes the Lemma-7 heap early stop — it is the same bound).
 Reported per combination: candidates pruned (Fig. 4a) and online wall clock
 (Fig. 4b). Paper shape: each added strategy prunes more (score pruning adds
-the most) and lowers the time. The support family prunes at the leaves with
-the per-query T_k(G_Q) membership test, so its bar is not 0 even where the
-index-level ``ub_sup_r`` bound never fires.
+the most) and lowers the time. The support family prunes at the leaves only,
+with the per-query T_k(G_Q) membership test; the index holds no support bound
+(its ``ub_sup_r`` test could not fire on the NWS graphs, DESIGN.md §4).
 """
 from __future__ import annotations
 

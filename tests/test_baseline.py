@@ -145,6 +145,20 @@ def test_sampling_without_candidates_is_empty(prepared_small, vtruss, q):
     assert atindex_query(prepared_small.local, vtruss, q, sample=0.3, seed=1) == []
 
 
+@pytest.mark.parametrize("sample", [0.0, -0.5, 1.5, float("nan")])
+def test_sample_outside_unit_interval_raises(prepared_small, vtruss, sample):
+    """f = 0 would divide the extrapolated time by zero, and f < 0 would
+    report a negative time."""
+    with pytest.raises(ValueError, match="sample"):
+        atindex_query(prepared_small.local, vtruss, q_default(), sample=sample)
+
+
+def test_sample_one_is_the_full_run(prepared_small, vtruss):
+    q = q_default()
+    full = atindex_query(prepared_small.local, vtruss, q)
+    assert atindex_query(prepared_small.local, vtruss, q, sample=1.0) == full
+
+
 def complete_graph(spark, n):
     """K_n as a SocialGraph and its snapshot; every vertex holds ``kw0``."""
     verts = gen.vertices_pdf([["kw0"]] * n)

@@ -26,6 +26,7 @@ import pytest
 
 from repro.core.baseline import atindex_offline, atindex_query
 from repro.core.index import build_index
+from repro.core.keywords import bv_of
 from repro.core.precompute import offline_precompute
 from repro.core.topl import Query, brute_force_topl, topl_icde
 from repro.experiments import params as P
@@ -77,6 +78,43 @@ def test_three_methods_agree(prep, qseed):
         assert [c.vertices for c in brute] == [c.vertices for c in atindex], q
 
 
+def truss_centers_pass_row_tests(pre, local, queries) -> int:
+    """Every center of T_k(G_Q) passes the tests the index no longer makes:
+    on every radius ``ub_sup_r ≥ k − 2`` (Lemmas 2/6), and ``bv_self``
+    meets Q (Lemmas 1/5). So neither could prune a subtree that holds one.
+    Returns the number of centers checked."""
+    checked = 0
+    for q in queries:
+        centers = local.keyword_truss(q.keywords, q.k).adj
+        rows = pre.pdf[pre.pdf["vertex"].isin(list(centers))]
+        assert len(rows) == len(centers) * pre.r_max, q
+        assert (rows["ub_sup_r"] >= q.k - 2).all(), q
+        assert ((rows["bv_self"] & bv_of(q.keywords)) != 0).all(), q
+        checked += len(centers)
+    return checked
+
+
+def all_random_queries():
+    return [q for seed in (0, 1, 2) for q in random_queries(QUERIES_PER_SEED, seed)]
+
+
+def test_truss_centers_pass_the_dropped_index_tests(prep):
+    prep, _ = prep
+    assert truss_centers_pass_row_tests(prep.pre, prep.local, all_random_queries()) > 0
+
+
+def test_truss_centers_pass_the_dropped_index_tests_nws_uniform(prepared_small):
+    p = prepared_small
+    assert truss_centers_pass_row_tests(p.pre, p.local, all_random_queries()) > 0
+
+
+def test_hand_made_truss_centers_pass_the_dropped_index_tests(hand_made):
+    local, _, _, pre = hand_made
+    vocab = sorted({w for kws in local.keywords.values() for w in kws})
+    queries = [Query(frozenset({w}), k, 1, 0.2, 1) for w in vocab for k in (2, 3, 4, 5)]
+    assert truss_centers_pass_row_tests(pre, local, queries) > 0
+
+
 def test_queries_have_answers(prep):
     """Guard against a vacuous comparison: some draws find communities."""
     prep, _ = prep
@@ -114,11 +152,11 @@ def hand_made(request, spark):
     graph = gen.build_social_graph(spark, verts, edges)
     pre = offline_precompute(spark, graph, r_max=P.R_MAX, thetas=P.THETAS)
     local = LocalGraph.from_pandas(verts, edges)
-    return local, build_index(pre), atindex_offline(spark, graph)
+    return local, build_index(pre), atindex_offline(spark, graph), pre
 
 
 def test_hand_made_graphs_agree(hand_made):
-    local, index, vtruss = hand_made
+    local, index, vtruss, _ = hand_made
     vocab = sorted({w for kws in local.keywords.values() for w in kws})
     rng = random.Random(23)
     answered = 0
@@ -165,7 +203,7 @@ def test_tied_answers_in_rank_order(hand_made):
     """With room for both K5s, the traversal and the reference return the
     same centers in the same order: both rank by (−σ, center), not by the
     order in which the traversal found them."""
-    local, index, _ = hand_made
+    local, index, _, _ = hand_made
     for k, r, theta in ((3, 1, 0.2), (5, 1, 0.2), (4, 2, 0.1), (5, 3, 0.3)):
         q = Query(frozenset({"kw1"}), k, r, theta, L=3)
         fast = topl_icde(local, index, q, P.THETAS)

@@ -44,6 +44,18 @@ def test_empty_result(spark, prepared_small):
     assert topl_icde_spark(spark, prepared_small.pre, prepared_small.local, q) == []
 
 
+def test_radius_above_r_max_raises(spark, prepared_small):
+    """No aggregate row exists past r_max: the dataflow path refuses the
+    query as the driver traversal does, instead of answering []."""
+    p = prepared_small
+    q = q_default(r=p.pre.r_max + 1)
+    with pytest.raises(ValueError, match="outside precomputed") as dataflow:
+        topl_icde_spark(spark, p.pre, p.local, q)
+    with pytest.raises(ValueError) as driver:
+        topl_icde(p.local, p.index, q, p.pre.thetas)
+    assert str(dataflow.value) == str(driver.value)
+
+
 def test_broadcast_holds_no_influence_memo(spark, prepared_small, monkeypatch):
     """A warm driver memo is not shipped: the broadcast snapshot is the same
     graph with an empty ``_arbo`` and ``sigma_memo``, and the answers are

@@ -57,26 +57,15 @@ def test_height_consistent(index, prepared_small):
     assert index.height() <= math.ceil(math.log(max(n, 2), 2)) + 1
 
 
-def test_hop_bit_vector_covers_the_centers(index):
-    """Every hop holds its center, so at every node and entry bv_r ⊇
-    bv_self: the Lemma 1/5 test on bv_self alone prunes all it can."""
-    for node in walk(index):
-        for item in [node, *(node.entries or ())]:
-            for bv_r in item.bv:
-                assert bv_r & item.bv_self == item.bv_self
-
-
 def test_aggregates_cover_children(index):
     """Non-leaf aggregates must dominate every child (bit-OR superset,
-    max support, max σ) — the soundness condition for Lemmas 5–7."""
+    max σ) — the soundness condition for Lemmas 5 and 7."""
     for node in walk(index):
         if node.is_leaf:
             continue
         for c in node.children:
             assert node.bv_self & c.bv_self == c.bv_self
-            for ri in range(len(node.bv)):
-                assert node.bv[ri] & c.bv[ri] == c.bv[ri]
-                assert node.ub_sup[ri] >= c.ub_sup[ri]
+            for ri in range(len(node.sigma)):
                 for z in range(len(node.sigma[ri])):
                     assert node.sigma[ri][z] >= c.sigma[ri][z] - 1e-12
 
@@ -85,9 +74,7 @@ def test_leaf_aggregates_cover_entries(index):
     for leaf in leaves(index):
         for e in leaf.entries:
             assert leaf.bv_self & e.bv_self == e.bv_self
-            for ri in range(len(leaf.bv)):
-                assert leaf.bv[ri] & e.bv[ri] == e.bv[ri]
-                assert leaf.ub_sup[ri] >= e.ub_sup[ri]
+            for ri in range(len(leaf.sigma)):
                 for z in range(len(leaf.sigma[ri])):
                     assert leaf.sigma[ri][z] >= e.sigma[ri][z] - 1e-12
 
@@ -98,13 +85,10 @@ def test_aggregates_equal_entries_below(index):
     for node in walk(index):
         below = [e for leaf in leaves(node) for e in leaf.entries]
         assert node.size == len(below)
-        bv_self, bv = 0, [0] * len(node.bv)
+        bv_self = 0
         for e in below:
             bv_self |= e.bv_self
-            bv = [a | b for a, b in zip(bv, e.bv)]
         assert node.bv_self == bv_self
-        assert node.bv == bv
-        assert node.ub_sup == [max(col) for col in zip(*(e.ub_sup for e in below))]
         assert node.sigma == [
             [max(e.sigma[ri][z] for e in below) for z in range(len(node.sigma[ri]))]
             for ri in range(len(node.sigma))
@@ -119,8 +103,6 @@ def test_entries_match_precompute_rows(index, prepared_small):
     for (_, row) in pre.pdf.iterrows():
         e = by_vertex[int(row["vertex"])]
         ri = int(row["r"]) - 1
-        assert e.bv[ri] == int(row["bv_r"])
-        assert e.ub_sup[ri] == int(row["ub_sup_r"])
         assert e.sigma[ri] == [float(row[f"sigma_{z}"]) for z in range(len(pre.thetas))]
         if ri == 0:
             assert e.bv_self == int(row["bv_self"])
@@ -151,6 +133,14 @@ def test_small_fanout_deepens_tree(prepared_small):
     deep = build_index(prepared_small.pre, fanout=4)
     assert deep.height() >= wide.height()
     assert deep.size == wide.size
+
+
+@pytest.mark.parametrize("fanout", [1, 0])
+def test_fanout_below_two_raises(prepared_small, fanout):
+    """A split into fewer than two parts returns its own slice: the build
+    would recurse without end."""
+    with pytest.raises(ValueError, match="fanout"):
+        build_index(prepared_small.pre, fanout=fanout)
 
 
 def test_root_sigma_is_global_max(index, prepared_small):

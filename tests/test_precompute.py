@@ -61,6 +61,13 @@ def test_bv_self_matches_vertex(pre, local, center):
     assert int(row_of(pre, center, 1)["bv_self"]) == local.bv[center]
 
 
+def test_hop_bit_vector_covers_the_center(pre):
+    """Every hop holds its center, so on every row bv_r ⊇ bv_self: a
+    Lemma 1/5 test on bv_self alone prunes all that one on bv_r can."""
+    bv_r, bv_self = pre.pdf["bv_r"], pre.pdf["bv_self"]
+    assert ((bv_r & bv_self) == bv_self).all()
+
+
 @pytest.mark.parametrize("center", SAMPLE_CENTERS)
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_ub_sup_r_is_max_induced_support(pre, local, center, r):

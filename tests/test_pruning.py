@@ -11,12 +11,7 @@ from dataclasses import astuple
 import pytest
 
 from repro.core.keywords import bv_of
-from repro.core.pruning import (
-    PruningStats,
-    keyword_prune,
-    score_prune,
-    support_prune,
-)
+from repro.core.pruning import PruningStats, keyword_prune, score_prune
 from repro.core.topl import Query, brute_force_topl, topl_icde
 
 
@@ -30,20 +25,6 @@ class TestPredicates:
 
     def test_keyword_prune_empty_vertex(self):
         assert keyword_prune(0, bv_of(["kw0"]))
-
-    @pytest.mark.parametrize(
-        "ub,k,want",
-        [
-            (2, 4, False),  # K4 case: support 2 CAN host a 4-truss
-            (1, 4, True),
-            (0, 3, True),
-            (0, 2, False),
-            (-1, 2, True),  # NO_EDGE_SUPPORT sentinel: no edges at all
-            (10, 5, False),
-        ],
-    )
-    def test_support_prune_safe_form(self, ub, k, want):
-        assert support_prune(ub, k) is want
 
     def test_score_prune_requires_full_buffer(self):
         assert not score_prune(1.0, 5.0, have_l=False)

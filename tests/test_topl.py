@@ -99,8 +99,10 @@ class TestBehaviour:
         assert run(prepared_small, q_default(k=30)) == []
 
     def test_radius_out_of_range_raises(self, prepared_small):
-        with pytest.raises(ValueError):
-            run(prepared_small, q_default(r=9))
+        r_max = prepared_small.pre.r_max
+        assert run(prepared_small, q_default(r=r_max))
+        with pytest.raises(ValueError, match=f"outside precomputed \\[1, {r_max}\\]"):
+            run(prepared_small, q_default(r=r_max + 1))
 
     def test_theta_below_grid_raises(self, prepared_small):
         with pytest.raises(ValueError):
