@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.index import IndexNode
@@ -153,16 +153,14 @@ def dtopl_icde(
 ) -> List[Community]:
     """Full DTopL-ICDE pipeline: top-(n·L) via Alg. 3, then refinement.
 
-    ``method``: ``"wp"`` (Alg. 4), ``"wop"``, or ``"optimal"``.
+    ``method``: ``"wp"`` (Alg. 4), ``"wop"``, or ``"optimal"``. Raises
+    ValueError for any other method and for ``n < 1`` before Alg. 3 runs.
     """
-    pool_query = Query(
-        keywords=query.keywords,
-        k=query.k,
-        r=query.r,
-        theta=query.theta,
-        L=query.L * n,
-    )
-    pool = topl_icde(local, index, pool_query, thetas)
+    if method not in ("wp", "wop", "optimal"):
+        raise ValueError(f"unknown method {method!r}")
+    if n < 1:
+        raise ValueError(f"n={n}: the candidate pool holds n*L communities, n >= 1")
+    pool = topl_icde(local, index, replace(query, L=query.L * n), thetas)
     # Eq. 6 reads every candidate's influenced community: compute each one
     # here, so that the selection below does the diversification alone.
     for c in pool:
@@ -171,6 +169,4 @@ def dtopl_icde(
         return greedy_wp(pool, query.L, stats)
     if method == "wop":
         return greedy_wop(pool, query.L, stats)
-    if method == "optimal":
-        return optimal(pool, query.L)[0]
-    raise ValueError(f"unknown method {method!r}")
+    return optimal(pool, query.L)[0]

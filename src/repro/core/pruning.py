@@ -48,9 +48,9 @@ def keyword_prune(bv: int, query_bv: int) -> bool:
     return (bv & query_bv) == 0
 
 
-def score_prune(sigma_ub: float, sigma_l: float, have_l: bool) -> bool:
+def score_prune(sigma_ub: float, sigma_l: float) -> bool:
     """Lemmas 4/7: the score upper bound cannot beat the current top-L floor.
 
-    Only applies once L candidates are buffered (σ_L is −∞ before that).
+    σ_L is −∞ until L candidates are buffered, so nothing is pruned before.
     """
-    return have_l and sigma_ub <= sigma_l
+    return sigma_ub <= sigma_l

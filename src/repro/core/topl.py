@@ -1,12 +1,13 @@
 """Online TopL-ICDE processing (paper Algorithm 3).
 
 Best-first traversal of the tree index with one max-heap that holds index
-nodes, keyed by their influential-score upper bound ``N.σ_z``, and leaf
-centers, keyed by their own bound. Index entries are pruned with the
-keyword test (Lemmas 1/5) and the score test (Lemmas 4/7); surviving
-centers are refined — maximal seed community extraction (Def. 2 fixpoint)
+nodes and leaf entries (centers). A popped node is expanded and a popped
+entry is refined — maximal seed community extraction (Def. 2 fixpoint)
 plus the exact ``calculate_influence`` — against the driver-side graph
-snapshot when the heap pops them.
+snapshot. Every child of an expanded node, node or entry alike, gets one
+key, its bound ``σ_z``, and one chain of tests: the keyword test (Lemmas
+1/5), the score test (Lemmas 4/7), and for an entry the support test;
+a child that passes them all is pushed.
 
 The support family (Lemmas 2/6) is tested at the leaves only, and exactly:
 the query's keyword k-truss T_k(G_Q) is peeled once per query
@@ -186,7 +187,8 @@ def topl_icde(
     study (Fig. 4); with ``use_score=False`` the heap early-termination is
     disabled too (it is the same Lemma 7 bound), and so is the component σ
     bound. With ``use_support=False`` there is no keyword truss view, and
-    surviving leaf entries are refined where the leaf is expanded.
+    every leaf entry that passes the other tests is refined when the heap
+    pops it, as with the default flags.
     """
     if not (1 <= query.r <= len(index.sigma)):
         raise ValueError(f"query radius {query.r} outside precomputed [1, {len(index.sigma)}]")
@@ -203,37 +205,9 @@ def topl_icde(
     def sigma_l() -> float:
         return results[0][0] if len(results) >= query.L else -math.inf
 
-    def have_l() -> bool:
-        return len(results) >= query.L
-
-    def pruned_by(item) -> Optional[str]:
-        """The ``PruningStats`` field charged for discarding ``item`` (a leaf
-        entry or a child node), or None if it survives."""
-        # Lemma 1/5 on the centers' own bit vectors (the center must be
-        # in g, Def. 2). Every hop holds its center, so the test on the
-        # hop's bit vector would never prune more.
-        if use_keyword and keyword_prune(item.bv_self, qbv):
-            return "keyword"
-        if use_score and score_prune(item.sigma[ri][z], sigma_l(), have_l()):
-            return "score"
-        return None
-
-    def offer(center: int) -> None:
-        """Refine ``center`` and keep its community if it enters the top L."""
-        stats.refined += 1
-        comm = refine(view, center, query, seen)
-        if comm is None:
-            return
-        if len(results) < query.L:
-            heapq.heappush(results, (comm.sigma, next(tiebreak), comm))
-        elif comm.sigma > results[0][0]:
-            heapq.heapreplace(results, (comm.sigma, next(tiebreak), comm))
-
     # Lemma 2 at the leaves: every seed community lies in T_k(G_Q), so a
     # center outside it hosts none, and the rest extract on its edges.
     view = local.keyword_truss(query.keywords, query.k) if use_support else local
-
-    centers = view.adj
     # σ(C, θ) of the components met so far: one σ memo read per component,
     # not one per center
     bounds: Dict[FrozenSet[int], float] = {}
@@ -242,42 +216,46 @@ def topl_icde(
         neg_key, _, item = heapq.heappop(heap)
         is_node = isinstance(item, IndexNode)
         stats.visited_nodes += is_node
-        if use_score and have_l() and -neg_key <= sigma_l():
+        if use_score and -neg_key <= sigma_l():
             # Lemma 7 on the heap order: every remaining node and entry is
             # bounded by this key, so the whole frontier is pruned at once.
             stats.heap_terminated += sum(n.size for _, _, n in heap) + item.size
             break
         if not is_node:
-            offer(item.vertex)
+            stats.refined += 1
+            comm = refine(view, item.vertex, query, seen)
+            if comm is None:
+                continue
+            if len(results) < query.L:
+                heapq.heappush(results, (comm.sigma, next(tiebreak), comm))
+            elif comm.sigma > results[0][0]:
+                heapq.heapreplace(results, (comm.sigma, next(tiebreak), comm))
             continue
         leaf = item.is_leaf
         for child in item.entries if leaf else item.children:
-            if leaf and use_support and child.vertex in centers:
-                # A center of T_k(G_Q) holds a query keyword: only the score
-                # test can discard it, against the tighter of σ_z(hop(v, r))
-                # and σ(C, θ) of its component C (DESIGN.md §3).
-                key = child.sigma[ri][z]
-                if use_score:
-                    whole = view.component(child.vertex)
-                    bound = bounds.get(whole)
-                    if bound is None:
-                        bound = bounds[whole] = score(view, whole, query.theta)[0]
-                    key = min(key, bound)
-                    if score_prune(key, sigma_l(), have_l()):
-                        stats.score += 1
-                        continue
-                heapq.heappush(heap, (-key, next(tiebreak), child))
-                continue
-            reason = pruned_by(child)
-            if reason is not None:
-                setattr(stats, reason, getattr(stats, reason) + child.size)
-            elif not leaf:
-                heapq.heappush(heap, (-child.sigma[ri][z], next(tiebreak), child))
-            elif use_support:
+            key = child.sigma[ri][z]
+            member = leaf and use_support and child.vertex in view.adj
+            if member and use_score:
+                # every seed community at the center lies in its component
+                # C of T_k(G_Q), so σ(C, θ) bounds it too (DESIGN.md §3)
+                whole = view.component(child.vertex)
+                bound = bounds.get(whole)
+                if bound is None:
+                    bound = bounds[whole] = score(view, whole, query.theta)[0]
+                key = min(key, bound)
+            # Lemma 1/5 on the centers' own bit vectors (the center must be
+            # in g, Def. 2). Every hop holds its center, so the test on the
+            # hop's bit vector would never prune more. A center of T_k(G_Q)
+            # holds a query keyword, so the test never fires on it.
+            if use_keyword and keyword_prune(child.bv_self, qbv):
+                stats.keyword += child.size
+            elif use_score and score_prune(key, sigma_l()):
+                stats.score += child.size
+            elif leaf and use_support and not member:
                 # no edge in T_k(G_Q), so no seed community (Lemma 2)
                 stats.support += 1
             else:
-                offer(child.vertex)
+                heapq.heappush(heap, (-key, next(tiebreak), child))
 
     return rank((c for _, _, c in results), query.L)
 

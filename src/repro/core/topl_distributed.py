@@ -61,9 +61,12 @@ def topl_icde_spark(
 ) -> List[Community]:
     """TopL-ICDE over the keyword truss's centers + batched parallel
     refinement. Raises ValueError, as :func:`topl_icde` does, when the query
-    radius is outside the precomputed [1, r_max]."""
+    radius is outside the precomputed [1, r_max], and when ``batch_size`` is
+    below 1."""
     if not (1 <= query.r <= precomp.r_max):
         raise ValueError(f"query radius {query.r} outside precomputed [1, {precomp.r_max}]")
+    if batch_size < 1:
+        raise ValueError(f"batch_size={batch_size}: a batch holds at least one center")
     pdf = precomp.pdf[precomp.pdf["r"] == query.r]
     centers = local.keyword_truss(query.keywords, query.k).adj
     sig = f"sigma_{z_index(precomp.thetas, query.theta)}"

@@ -72,8 +72,10 @@ def timed_atindex(
     **query_kwargs,
 ) -> Tuple[float, List[List[Community]]]:
     """Mean ATindex online wall-clock; ``sample`` extrapolates by 1/f
-    exactly like the paper's DBLP estimate (time_est = time_sampled / f)."""
-    assert prep.vtruss is not None, "prepare(..., with_atindex=True) first"
+    exactly like the paper's DBLP estimate (time_est = time_sampled / f).
+    Raises ValueError when ``prep`` was prepared without ATindex."""
+    if prep.vtruss is None:
+        raise ValueError("prepare(..., with_atindex=True) first")
     sigma = prep.key[3]
     total = 0.0
     answers: List[List[Community]] = []

@@ -56,6 +56,15 @@ def test_radius_above_r_max_raises(spark, prepared_small):
     assert str(dataflow.value) == str(driver.value)
 
 
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_batch_size_below_one_raises(spark, prepared_small, batch_size):
+    """A negative size made ``range`` empty: no batch ran and the answer
+    came back [] with no error."""
+    p = prepared_small
+    with pytest.raises(ValueError, match=rf"\bbatch_size={batch_size}\b"):
+        topl_icde_spark(spark, p.pre, p.local, q_default(), batch_size=batch_size)
+
+
 def test_broadcast_holds_no_influence_memo(spark, prepared_small, monkeypatch):
     """A warm driver memo is not shipped: the broadcast snapshot is the same
     graph with an empty ``_arbo`` and ``sigma_memo``, and the answers are

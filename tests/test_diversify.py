@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from repro.core import diversify
 from repro.core.diversify import (
     DiversifyStats,
     dtopl_icde,
@@ -148,9 +149,22 @@ class TestPipeline:
         for c in sel:
             assert c.center in c.vertices and c.cpp
 
-    def test_unknown_method_raises(self, prepared_small):
-        with pytest.raises(ValueError):
+    @pytest.fixture
+    def no_pool(self, monkeypatch):
+        """Fail if Algorithm 3 runs: bad arguments are refused before it
+        builds the candidate pool."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("topl_icde ran before the arguments were checked")
+
+        monkeypatch.setattr(diversify, "topl_icde", refuse)
+
+    def test_unknown_method_raises(self, prepared_small, no_pool):
+        with pytest.raises(ValueError, match="unknown method 'magic'"):
             dtopl_icde(prepared_small.local, prepared_small.index, self.q(), prepared_small.pre.thetas, method="magic")
+
+    def test_n_below_one_raises(self, prepared_small, no_pool):
+        with pytest.raises(ValueError, match=r"\bn=0\b"):
+            dtopl_icde(prepared_small.local, prepared_small.index, self.q(), prepared_small.pre.thetas, n=0)
 
     def test_diversity_no_worse_than_top_L_alone(self, prepared_small):
         """Diversified selection must beat (or tie) taking the plain top-L,

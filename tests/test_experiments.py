@@ -1,6 +1,8 @@
 """Integration tests for the experiment drivers (shrunk to test scale)."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pandas as pd
 import pytest
 
@@ -59,6 +61,14 @@ def test_timed_atindex_extrapolates(spark):
     full, _ = timed_atindex(prep, qseeds=(0,))
     sampled, _ = timed_atindex(prep, qseeds=(0,), sample=0.5)
     assert full > 0 and sampled > 0  # sampled time is scaled by 1/f
+
+
+def test_timed_atindex_without_vtruss_raises(spark):
+    """A ValueError, not an assert: ``python -O`` strips asserts, and the
+    failure became an AttributeError inside ``atindex_query``."""
+    prep = D.prepare(spark, kind="nws", n=150, dist="uniform", seed=2)
+    with pytest.raises(ValueError, match=r"with_atindex=True"):
+        timed_atindex(replace(prep, vtruss=None), qseeds=(0,))
 
 
 def test_fig3_query_sweep_shape(spark):

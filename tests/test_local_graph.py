@@ -833,7 +833,7 @@ class TestComponentBound:
         """Per graph, the Lemma 4 test on some center of T_k(G_Q) prunes
         with the component bound where σ_z(hop(v, r)) alone would not, and
         on another center the bound is below σ_z yet does not prune."""
-        decisions = []  # (vertex, key tested, σ_L, have_l, pruned)
+        decisions = []  # (vertex, key tested, σ_L, pruned)
         pending = []
         component, prune = LocalGraph.component, topl_module.score_prune
 
@@ -841,10 +841,10 @@ class TestComponentBound:
             pending.append(v)
             return component(self, v)
 
-        def recording_prune(key, sigma_l, have_l):
-            pruned = prune(key, sigma_l, have_l)
+        def recording_prune(key, sigma_l):
+            pruned = prune(key, sigma_l)
             if pending:
-                decisions.append((pending.pop(), key, sigma_l, have_l, pruned))
+                decisions.append((pending.pop(), key, sigma_l, pruned))
             return pruned
 
         monkeypatch.setattr(LocalGraph, "component", recording_component)
@@ -865,9 +865,9 @@ class TestComponentBound:
                 got = topl_icde(g, index, q, P.THETAS)
                 assert [c.sigma for c in got] == [c.sigma for c in brute_force_topl(g, q)], q
                 z = z_index(P.THETAS, q.theta)
-                for v, key, sigma_l, have_l, pruned in decisions:
+                for v, key, sigma_l, pruned in decisions:
                     loose = sigma_z[v, q.r][z]
                     assert key <= loose
-                    fires += pruned and not prune(loose, sigma_l, have_l)
+                    fires += pruned and not prune(loose, sigma_l)
                     misses += not pruned and key < loose
             assert fires and misses, (fires, misses)

@@ -27,10 +27,10 @@ class TestPredicates:
         assert keyword_prune(0, bv_of(["kw0"]))
 
     def test_score_prune_requires_full_buffer(self):
-        assert not score_prune(1.0, 5.0, have_l=False)
-        assert score_prune(1.0, 5.0, have_l=True)
-        assert score_prune(5.0, 5.0, have_l=True)  # ≤ prunes ties
-        assert not score_prune(5.1, 5.0, have_l=True)
+        assert not score_prune(1.0, -math.inf)  # σ_L before L are buffered
+        assert score_prune(1.0, 5.0)
+        assert score_prune(5.0, 5.0)  # ≤ prunes ties
+        assert not score_prune(5.1, 5.0)
 
     def test_stats_total(self):
         s = PruningStats(keyword=2, support=3, score=4, heap_terminated=1)
@@ -116,24 +116,33 @@ class TestSupportAccounting:
         assert any(self.stats_of(prepared_small, q).support > 0 for q in self.QUERIES)
 
     #: ``astuple(PruningStats)`` — (keyword, support, score, heap_terminated,
-    #: refined, visited_nodes) — per query with the support family off.
-    #: Pinned: with it off, nothing of the traversal may depend on the
-    #: T_k(G_Q) peel.
-    WITHOUT_SUPPORT = {
+    #: refined, visited_nodes) — per query and flag set. Pinned: with the
+    #: support family off, nothing of the traversal may depend on the
+    #: T_k(G_Q) peel; with the default flags, every prune of Algorithm 3
+    #: and the component σ bound shape the counts.
+    PINNED = {
         "kw": [(54, 0, 0, 0, 96, 17), (102, 0, 0, 0, 48, 16), (94, 0, 0, 0, 56, 17),
                (127, 0, 0, 0, 23, 15)],
         "kw+score": [(54, 0, 0, 0, 96, 17), (97, 0, 1, 9, 43, 16), (94, 0, 0, 0, 56, 17),
                      (127, 0, 0, 0, 23, 15)],
+        "default": [(54, 71, 0, 15, 10, 17), (97, 26, 1, 20, 6, 16), (94, 51, 0, 0, 5, 17),
+                    (127, 23, 0, 0, 0, 15)],
+    }
+    FLAGS = {
+        "kw": dict(use_support=False, use_score=False),
+        "kw+score": dict(use_support=False),
+        "default": {},
     }
 
-    @pytest.mark.parametrize("combo", list(WITHOUT_SUPPORT))
+    def pinned_stats(self, prepared, combo):
+        return [astuple(self.stats_of(prepared, q, **self.FLAGS[combo])) for q in self.QUERIES]
+
+    @pytest.mark.parametrize("combo", ["kw", "kw+score"])
     def test_support_off_is_unchanged(self, prepared_small, combo):
-        got = [
-            astuple(self.stats_of(prepared_small, q, use_support=False,
-                                  use_score=combo == "kw+score"))
-            for q in self.QUERIES
-        ]
-        assert got == self.WITHOUT_SUPPORT[combo]
+        assert self.pinned_stats(prepared_small, combo) == self.PINNED[combo]
+
+    def test_default_flags_are_unchanged(self, prepared_small):
+        assert self.pinned_stats(prepared_small, "default") == self.PINNED["default"]
 
     def test_support_refines_fewer(self, prepared_small):
         fewer = 0
