@@ -20,23 +20,65 @@ that, the (1-1/e)·ε guarantee behaviour, and submodularity itself.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.index import IndexNode
 from repro.core.topl import Community, Query, topl_icde
-from repro.graph.local import LocalGraph
-from repro.influence.scores import diversity_score, marginal_gain, merge_max
+from repro.graph.local import LocalGraph, Rows, cpp_rows
 
 
 @dataclass
 class DiversifyStats:
-    """Work counters: gain evaluations vs. the n·L·L worst case."""
+    """Work counters: gain evaluations vs. the n·L·L worst case, and how
+    :func:`dtopl_icde` loaded its pool's influenced communities."""
 
     gain_evaluations: int = 0
     candidates: int = 0
     pruned_evaluations: int = 0
+    #: pool members whose cpp was not in the snapshot's ``cpp_memo`` yet
+    cpp_computed: int = 0
+    #: pool members whose cpp was read from the memo
+    cpp_memo_hits: int = 0
+
+
+def pool_rows(candidates: Sequence[Community]) -> Tuple[List[Rows], int]:
+    """Every candidate's influenced community as (positions, values) arrays
+    over one position space, and the size of that space.
+
+    A pool scored on one snapshot reads the snapshot's ``cpp_memo`` and
+    positions. Any other pool (built with ``cpp=`` alone) gets a position
+    map over its own vertices, built here.
+    """
+    graph = candidates[0].graph if candidates else None
+    if graph is not None and all(c.graph is graph for c in candidates):
+        return [c.rows for c in candidates], len(graph.positions())
+    at: Dict[int, int] = {}
+    rows = [cpp_rows(c.cpp, at) for c in candidates]
+    return rows, len(at)
+
+
+def gain(acc: np.ndarray, rows: Rows) -> float:
+    """ΔD_g(S) = D(S ∪ {g}) − D(S), given ``acc`` = the pointwise max over S
+    by position: the sum of max(cpp(g, v) − acc[v], 0) over g^Inf.
+
+    The terms are added one at a time in the rows' order (a sequential
+    ``cumsum``), so the float is the one a loop over the cpp dict gives;
+    adding each ``+0.0`` is exact. ``np.sum`` adds pairwise, rounds
+    otherwise and can break a near-tie the other way.
+    """
+    pos, val = rows
+    d = val - acc[pos]
+    np.maximum(d, 0.0, out=d)
+    return float(d.cumsum()[-1]) if d.size else 0.0
+
+
+def merge(acc: np.ndarray, rows: Rows) -> None:
+    """``acc`` := the pointwise max of ``acc`` and cpp(g, ·), in place."""
+    pos, val = rows
+    acc[pos] = np.maximum(acc[pos], val)
 
 
 def greedy_wp(
@@ -51,25 +93,25 @@ def greedy_wp(
     """
     stats = stats if stats is not None else DiversifyStats()
     stats.candidates = len(candidates)
+    rows, size = pool_rows(candidates)
     heap: List[Tuple[float, int, int]] = []  # (-gain, tiebreak, cand index)
     rounds = [0] * len(candidates)
     for i, c in enumerate(candidates):
         heapq.heappush(heap, (-c.sigma, i, i))
         stats.gain_evaluations += 1  # σ(g) plays ΔD_g(∅)
     selected: List[Community] = []
-    acc: Dict[int, float] = {}
+    acc = np.zeros(size)
     round_no = 0
     while heap and len(selected) < L:
         neg_gain, tb, i = heapq.heappop(heap)
         if rounds[i] == round_no:
             selected.append(candidates[i])
-            merge_max(acc, candidates[i].cpp)
+            merge(acc, rows[i])
             round_no += 1
         else:
-            gain = marginal_gain(acc, candidates[i].cpp)
             stats.gain_evaluations += 1
             rounds[i] = round_no
-            heapq.heappush(heap, (-gain, tb, i))
+            heapq.heappush(heap, (-gain(acc, rows[i]), tb, i))
     stats.pruned_evaluations = (
         len(candidates) * len(selected) - stats.gain_evaluations
     )
@@ -82,20 +124,21 @@ def greedy_wop(
     """Greedy without pruning: every round scans every remaining candidate."""
     stats = stats if stats is not None else DiversifyStats()
     stats.candidates = len(candidates)
+    rows, size = pool_rows(candidates)
     remaining = list(range(len(candidates)))
     selected: List[Community] = []
-    acc: Dict[int, float] = {}
+    acc = np.zeros(size)
     while remaining and len(selected) < L:
         best_i, best_gain = None, -1.0
         for i in remaining:
-            gain = marginal_gain(acc, candidates[i].cpp)
+            g = gain(acc, rows[i])
             stats.gain_evaluations += 1
             # tie-break on candidate order = insertion (σ-descending) order,
             # identical to greedy_wp's heap tiebreak
-            if gain > best_gain + 1e-12:
-                best_i, best_gain = i, gain
+            if g > best_gain + 1e-12:
+                best_i, best_gain = i, g
         selected.append(candidates[best_i])
-        merge_max(acc, candidates[best_i].cpp)
+        merge(acc, rows[best_i])
         remaining.remove(best_i)
     return selected
 
@@ -111,8 +154,6 @@ def optimal(
     enumeration (tested), but ~L× less arithmetic. Still exponential; this
     *is* the paper's "three orders of magnitude slower" baseline.
     """
-    import numpy as np
-
     n = len(candidates)
     L = min(L, n)
     if L == 0:
@@ -160,11 +201,17 @@ def dtopl_icde(
         raise ValueError(f"unknown method {method!r}")
     if n < 1:
         raise ValueError(f"n={n}: the candidate pool holds n*L communities, n >= 1")
+    stats = stats if stats is not None else DiversifyStats()
     pool = topl_icde(local, index, replace(query, L=query.L * n), thetas)
-    # Eq. 6 reads every candidate's influenced community: compute each one
+    # Eq. 6 reads every candidate's influenced community: load each one
     # here, so that the selection below does the diversification alone.
+    memo = local.cpp_memo
     for c in pool:
-        c.cpp
+        if (c.vertices, query.theta) in memo:
+            stats.cpp_memo_hits += 1
+        else:
+            stats.cpp_computed += 1
+        c.rows
     if method == "wp":
         return greedy_wp(pool, query.L, stats)
     if method == "wop":

@@ -27,7 +27,9 @@ reference, the ATindex baseline and the dataflow variant. ``refine`` scores
 each distinct (g, θ) once per snapshot through ``LocalGraph.sigma_memo``
 (:func:`score`, which the component bound reads too). TopL ranks by σ
 alone, so an answer's influenced community (``Community.cpp``) is computed
-only when something reads it: DTopL's diversity score does (Eq. 6).
+only when something reads it: DTopL's diversity score does (Eq. 6). The
+first read of a (g, θ) stores it in ``LocalGraph.cpp_memo``, and every
+later answer with the same (g, θ) reads it from there.
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ from repro.core.index import IndexNode
 from repro.core.keywords import bv_of
 from repro.core.precompute import z_index
 from repro.core.pruning import PruningStats, keyword_prune, score_prune
-from repro.graph.local import LocalGraph
+from repro.graph.local import LocalGraph, Rows
 from repro.influence.scores import sigma_of
 
 
@@ -73,9 +75,9 @@ class Community:
     """A seed community answer: its center, vertex set g and σ(g, θ).
 
     :attr:`cpp` is the influenced community. It is given at construction,
-    or computed on its first read from the graph and θ the community was
-    scored at, and then kept. ``repr`` and ``==`` cover center, vertices
-    and σ, and compute nothing.
+    or read on first use from the memo of the graph and θ the community
+    was scored at (:attr:`rows`), and then kept. ``repr`` and ``==`` cover
+    center, vertices and σ, and compute nothing.
     """
 
     center: int
@@ -104,17 +106,37 @@ class Community:
         self._scored_at = None if graph is None else (graph.snapshot, theta)
 
     @property
+    def graph(self) -> Optional[LocalGraph]:
+        """The full snapshot the community was scored on, or None."""
+        return None if self._scored_at is None else self._scored_at[0]
+
+    @property
+    def rows(self) -> Rows:
+        """:attr:`cpp` as the snapshot's ``cpp_memo`` arrays
+        (:meth:`LocalGraph.influenced`), filled from the community's own
+        ``cpp`` or by one influence call when (g, θ) is not there yet.
+        Raises ValueError on a community built without a graph."""
+        if self._scored_at is None:
+            raise ValueError(f"community at {self.center} was not scored on a graph")
+        graph, theta = self._scored_at
+        return graph.influenced(self.vertices, theta, self._cpp)
+
+    @property
     def cpp(self) -> Dict[int, float]:
         """cpp(g, v) over g^Inf (Eq. 6): ``influence(vertices, θ)``.
 
-        Raises ValueError on a community built with neither ``cpp`` nor a
-        graph: an influenced community always holds g, so none is empty.
+        On a community scored on a graph, the first read stores its arrays
+        in the snapshot's memo before any dict is handed out, so editing
+        the dict changes no later read of another answer. Raises ValueError
+        on a community built with neither ``cpp`` nor a graph: an
+        influenced community always holds g, so none is empty.
         """
-        if self._cpp is None:
-            if self._scored_at is None:
-                raise ValueError(f"community at {self.center} has no cpp and no graph")
-            graph, theta = self._scored_at
-            self._cpp = graph.influence(self.vertices, theta)
+        if self._scored_at is not None:
+            rows = self.rows
+            if self._cpp is None:
+                self._cpp = self.graph.cpp_of(rows)
+        elif self._cpp is None:
+            raise ValueError(f"community at {self.center} has no cpp and no graph")
         return self._cpp
 
 
@@ -129,8 +151,9 @@ def refine(
     scoring because many centers of one community extract the same vertex
     set. σ comes from ``local.sigma_memo`` when an earlier query scored the
     same (g, θ), with no influence call; the community's ``cpp`` is then
-    computed if it is read. Otherwise the influenced community is computed,
-    kept on the community and its σ memoised.
+    read from ``local.cpp_memo``, or computed, if it is read. Otherwise the
+    influenced community is computed, kept on the community and its σ
+    memoised.
     """
     g = local.seed_community(center, query.r, query.k, query.keywords)
     if g is None or g in seen:

@@ -74,9 +74,11 @@ def topl_icde_spark(
         [sig, "vertex"], ascending=[False, True]
     )
 
-    # without the influence and σ memos: executors rebuild what they need,
-    # and a warm memo is many times the size of the graph
-    local_bc = spark.sparkContext.broadcast(replace(local, _arbo={}, sigma_memo={}))
+    # without the influence, σ and cpp memos: executors rebuild what they
+    # need, and a warm memo is many times the size of the graph
+    local_bc = spark.sparkContext.broadcast(
+        replace(local, _arbo={}, sigma_memo={}, cpp_memo={})
+    )
     try:
         results: List[Community] = []
         for start in range(0, len(ranked), batch_size):

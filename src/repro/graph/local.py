@@ -27,7 +27,10 @@ edge between two vertices at depth r keeps k-2 triangles inside it (the
 ring test), peeling only when both miss; the graph and its views share a
 σ(g, θ) memo (``sigma_memo``) that :func:`repro.core.topl.refine` reads
 before computing influence, and the keyword -> vertices map that gives each
-view its V_Q.
+view its V_Q. They also share ``cpp_memo``: each influenced community read
+so far, as read-only (positions, values) arrays over one vertex -> 0..n-1
+map (:meth:`LocalGraph.influenced`). Only a read of ``Community.cpp`` or
+DTopL's selection fills it, so TopL leaves it empty.
 """
 from __future__ import annotations
 
@@ -35,6 +38,7 @@ import heapq
 from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
 
+import numpy as np
 import pandas as pd
 
 from repro.graph.types import validate_frames
@@ -43,6 +47,19 @@ from repro.graph.types import validate_frames
 EPS = 1e-12
 
 _NO_KEYWORDS: FrozenSet[str] = frozenset()
+
+#: an influenced community as arrays: (positions of its vertices, their cpp)
+Rows = Tuple[np.ndarray, np.ndarray]
+
+
+def cpp_rows(cpp: Dict[int, float], at: Dict[int, int]) -> Rows:
+    """``cpp`` as read-only (positions, values) arrays, in the dict's own
+    order. A vertex missing from the position map ``at`` is given the next
+    position."""
+    pos = np.fromiter((at.setdefault(v, len(at)) for v in cpp), np.intp, len(cpp))
+    val = np.fromiter(cpp.values(), np.float64, len(cpp))
+    pos.flags.writeable = val.flags.writeable = False
+    return pos, val
 
 
 class _Peeled(NamedTuple):
@@ -82,6 +99,19 @@ class LocalGraph:
     sigma_memo: Dict[Tuple[FrozenSet[int], float], float] = field(
         default_factory=dict, repr=False, compare=False
     )
+    #: cpp(g, ·) of every influenced community read on this graph or its
+    #: views, by (vertex set, θ) like ``sigma_memo``, as :func:`cpp_rows`
+    #: over :meth:`positions`; filled by :meth:`influenced` on a
+    #: community's first read, never by scoring. ``init=True`` for the same
+    #: sharing as ``_arbo``.
+    cpp_memo: Dict[Tuple[FrozenSet[int], float], Rows] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    #: vertex -> position 0..n-1 in the full graph, and position -> vertex,
+    #: built by the first :meth:`positions` call; ``init=True`` for the
+    #: same sharing as ``_arbo``.
+    _positions: Dict[int, int] = field(default_factory=dict, repr=False, compare=False)
+    _order: List[int] = field(default_factory=list, repr=False, compare=False)
     #: :attr:`support`, once read. A field, not ``functools.cached_property``:
     #: its write through ``__dict__`` slows every later attribute read on the
     #: instance, ATindex's queries included.
@@ -460,6 +490,36 @@ class LocalGraph:
     def sigma(self, seed: Iterable[int], theta: float) -> float:
         """Influential score σ(g) = Σ_{v∈g^Inf} cpp(g, v) (paper Eq. 5)."""
         return float(sum(self.influence(seed, theta).values()))
+
+    def positions(self) -> Dict[int, int]:
+        """vertex -> its position 0..n-1 in the full graph, built on the
+        first call and shared with its views, as ``_holders`` is."""
+        at = self._positions
+        if not at:
+            self._order.extend(self.snapshot.adj)
+            at.update(zip(self._order, range(len(self._order))))
+        return at
+
+    def influenced(
+        self, g: FrozenSet[int], theta: float, cpp: Optional[Dict[int, float]] = None
+    ) -> Rows:
+        """cpp(g, ·) at θ as (positions, values) arrays in :meth:`influence`'s
+        order, read from ``cpp_memo``. A miss stores ``cpp`` when it is
+        given (the influenced community σ was scored from), and
+        ``influence(g, theta)`` otherwise."""
+        key = (g, theta)
+        rows = self.cpp_memo.get(key)
+        if rows is None:
+            if cpp is None:
+                cpp = self.influence(g, theta)
+            rows = self.cpp_memo[key] = cpp_rows(cpp, self.positions())
+        return rows
+
+    def cpp_of(self, rows: Rows) -> Dict[int, float]:
+        """The ``{vertex: cpp}`` dict of :meth:`influenced`'s arrays, in
+        their order; a fresh dict on every call."""
+        pos, val = rows
+        return dict(zip(map(self._order.__getitem__, pos.tolist()), val.tolist()))
 
 
 class _Peel:

@@ -1,10 +1,10 @@
 """Score algebra over cpp maps (driver-side).
 
 The online phase carries each candidate community's influenced set as a dict
-``v -> cpp(g, v)`` (produced by ``LocalGraph.influence``). The diversified
-variant (paper Sec. VII) only needs two operations over those maps: the
-diversity score ``D(S)`` (Eq. 6) and its marginal gain ``ΔD_g(S)``, both of
-which follow from pointwise max over maps.
+``v -> cpp(g, v)`` (produced by ``LocalGraph.influence``). σ(g) (Eq. 5) sums
+one map; the diversity score ``D(S)`` (Eq. 6) sums the pointwise max over
+several. Algorithm 4's marginal gain runs on arrays in
+:mod:`repro.core.diversify`.
 """
 from __future__ import annotations
 
@@ -24,25 +24,3 @@ def diversity_score(cpp_maps: Iterable[Dict[int, float]]) -> float:
             if p > merged.get(v, 0.0):
                 merged[v] = p
     return float(sum(merged.values()))
-
-
-def merge_max(acc: Dict[int, float], cpp: Dict[int, float]) -> Dict[int, float]:
-    """In-place pointwise max of ``acc`` with ``cpp``; returns ``acc``."""
-    for v, p in cpp.items():
-        if p > acc.get(v, 0.0):
-            acc[v] = p
-    return acc
-
-
-def marginal_gain(acc: Dict[int, float], cpp: Dict[int, float]) -> float:
-    """ΔD_g(S) = D(S ∪ {g}) − D(S) given ``acc`` = pointwise max over S.
-
-    Only vertices where g improves on the current max contribute — this is
-    the submodular increment the lazy greedy (Alg. 4) reuses.
-    """
-    gain = 0.0
-    for v, p in cpp.items():
-        cur = acc.get(v, 0.0)
-        if p > cur:
-            gain += p - cur
-    return gain

@@ -67,11 +67,12 @@ def test_batch_size_below_one_raises(spark, prepared_small, batch_size):
 
 def test_broadcast_holds_no_influence_memo(spark, prepared_small, monkeypatch):
     """A warm driver memo is not shipped: the broadcast snapshot is the same
-    graph with an empty ``_arbo`` and ``sigma_memo``, and the answers are
-    unchanged."""
+    graph with an empty ``_arbo``, ``sigma_memo`` and ``cpp_memo``, and the
+    answers are unchanged."""
     local, q = prepared_small.local, q_default()
     want = topl_icde(local, prepared_small.index, q, prepared_small.pre.thetas)
-    assert local._arbo and local.sigma_memo
+    assert [c.cpp for c in want]
+    assert local._arbo and local.sigma_memo and local.cpp_memo
     sc = spark.sparkContext
     shipped, broadcast = [], sc.broadcast
 
@@ -81,7 +82,8 @@ def test_broadcast_holds_no_influence_memo(spark, prepared_small, monkeypatch):
 
     monkeypatch.setattr(sc, "broadcast", recording)
     got = topl_icde_spark(spark, prepared_small.pre, local, q)
-    assert [(g._arbo, g.sigma_memo) for g in shipped] == [({}, {})] and shipped[0] == local
-    assert local._arbo and local.sigma_memo
+    assert [(g._arbo, g.sigma_memo, g.cpp_memo) for g in shipped] == [({}, {}, {})]
+    assert shipped[0] == local
+    assert local._arbo and local.sigma_memo and local.cpp_memo
     assert [round(c.sigma, 6) for c in got] == [round(c.sigma, 6) for c in want]
     assert {c.vertices for c in got} == {c.vertices for c in want}

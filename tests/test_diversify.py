@@ -1,22 +1,34 @@
 """DTopL-ICDE: greedy variants, the exhaustive Optimal, and the pipeline."""
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.core import diversify
+from repro.core.baseline import atindex_query, edge_trussness
 from repro.core.diversify import (
     DiversifyStats,
     dtopl_icde,
+    gain,
     greedy_wop,
     greedy_wp,
+    merge,
     optimal,
+    pool_rows,
 )
-from repro.core.topl import Community, Query
+from repro.core.topl import Community, Query, brute_force_topl, topl_icde
+from repro.experiments import params as P
+from repro.graph import generators as gen
+from repro.graph.local import LocalGraph, cpp_rows
 from repro.influence.scores import diversity_score
+from tests.test_local_graph import driver_index, fresh
+from tests.test_scores import marginal_gain, merge_max
 
 
 def synth_candidates(n, seed=0, universe=60):
@@ -31,6 +43,37 @@ def synth_candidates(n, seed=0, universe=60):
         )
     cands.sort(key=lambda c: -c.sigma)
     return cands
+
+
+def reference_greedy(cands, L, lazy):
+    """The selection on cpp dicts with the reference gain: Algorithm 4's
+    lazy greedy (``lazy``) or the full rescan of every round, with the
+    tie-breaking of ``greedy_wp`` and ``greedy_wop``."""
+    acc, selected = {}, []
+    if lazy:
+        heap = [(-c.sigma, i, i) for i, c in enumerate(cands)]
+        heapq.heapify(heap)
+        rounds = [0] * len(cands)
+        while heap and len(selected) < L:
+            _, tb, i = heapq.heappop(heap)
+            if rounds[i] == len(selected):
+                selected.append(cands[i])
+                merge_max(acc, cands[i].cpp)
+            else:
+                rounds[i] = len(selected)
+                heapq.heappush(heap, (-marginal_gain(acc, cands[i].cpp), tb, i))
+        return selected
+    remaining = list(range(len(cands)))
+    while remaining and len(selected) < L:
+        best_i, best_gain = None, -1.0
+        for i in remaining:
+            g = marginal_gain(acc, cands[i].cpp)
+            if g > best_gain + 1e-12:
+                best_i, best_gain = i, g
+        selected.append(cands[best_i])
+        merge_max(acc, cands[best_i].cpp)
+        remaining.remove(best_i)
+    return selected
 
 
 def optimal_bruteforce(cands, L):
@@ -179,3 +222,181 @@ class TestPipeline:
             assert diversity_score([c.cpp for c in sel]) >= diversity_score(
                 [c.cpp for c in plain]
             ) - 1e-9
+
+
+def vertex_trussness(g):
+    """ATindex's offline table on a driver-side graph."""
+    vtruss = {}
+    for (u, v), t in edge_trussness(g).items():
+        for x in (u, v):
+            vtruss[x] = max(t, vtruss.get(x, 0))
+    return vtruss
+
+
+@pytest.fixture(scope="module")
+def driver_graphs():
+    """NWS Uniform and Zipf graphs of 200 vertices, each with the tree index
+    over aggregates computed on the graph itself."""
+    out = {}
+    for dist in ("uniform", "zipf"):
+        g = LocalGraph.from_pandas(*gen.pandas_social_network(200, dist=dist, seed=11))
+        out[dist] = (g, driver_index(g)[0])
+    return out
+
+
+def capture_pools(monkeypatch):
+    """Every pool ``dtopl_icde`` hands to ``greedy_wp``, in call order."""
+    pools, original = [], diversify.greedy_wp
+
+    def capture(candidates, L, stats=None):
+        pools.append(list(candidates))
+        return original(candidates, L, stats)
+
+    monkeypatch.setattr(diversify, "greedy_wp", capture)
+    return pools
+
+
+class TestArrayKernel:
+    """The array gain and merge give the reference dict gain and merge to
+    the last bit."""
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_gain_equals_reference(self, seed):
+        """Full-mantissa values, whose sum rounds differently in another
+        order, mixed with a few short ones that tie the running max, so
+        that some gains are exactly zero."""
+        rng = random.Random(seed)
+        short = [round(rng.uniform(0.1, 1.0), 1) for _ in range(4)]
+        maps = [
+            {
+                rng.randrange(60): rng.choice(short) if rng.random() < 0.4 else rng.random()
+                for _ in range(rng.randint(0, 40))
+            }
+            for _ in range(8)
+        ]
+        at = {}
+        rows = [cpp_rows(m, at) for m in maps]
+        acc_d, acc_a = {}, np.zeros(len(at))
+        zero = positive = 0
+        for m, r in zip(maps, rows):
+            for other_m, other_r in zip(maps, rows):
+                want = marginal_gain(acc_d, other_m)
+                assert gain(acc_a, other_r) == want
+                zero += want == 0.0
+                positive += want > 0.0
+            merge_max(acc_d, m)
+            merge(acc_a, r)
+            assert acc_a.tolist() == [acc_d.get(v, 0.0) for v in at]
+        assert zero and positive
+
+    def test_pool_without_graph_gets_its_own_positions(self):
+        cands = synth_candidates(6, seed=4)
+        rows, size = pool_rows(cands)
+        assert size == len({v for c in cands for v in c.cpp})
+        for c, (pos, val) in zip(cands, rows):
+            assert val.tolist() == list(c.cpp.values())
+            assert len(set(pos.tolist())) == len(c.cpp)
+
+
+class TestSelectionMatchesReference:
+    """``greedy_wp`` and ``greedy_wop`` pick what the dict greedy with the
+    reference gain picks, in the same order."""
+
+    @pytest.mark.parametrize("n", [1, 5, 20, 60])
+    @pytest.mark.parametrize("L", [1, 2, 3, 5, 8, 10])
+    def test_synthetic_pools(self, n, L):
+        for seed in range(3):
+            cands = synth_candidates(n, seed=seed)
+            # copies of the first candidates tie their gains exactly
+            cands += [
+                Community(c.center + n, frozenset({c.center + n}), c.sigma, cpp=dict(c.cpp))
+                for c in cands[: n // 4]
+            ]
+            for lazy, select in ((True, greedy_wp), (False, greedy_wop)):
+                want = reference_greedy(cands, L, lazy)
+                assert [c.vertices for c in select(cands, L)] == [c.vertices for c in want]
+
+    @pytest.mark.parametrize("dist", ["uniform", "zipf"])
+    def test_dtopl_pools(self, driver_graphs, dist, monkeypatch):
+        """Pools of ``dtopl_icde`` on driver-side graphs, sweeping L and n."""
+        g, index = driver_graphs[dist]
+        pools = capture_pools(monkeypatch)
+        compared = 0
+        for qseed in range(4):
+            q = Query(
+                keywords=P.query_keywords(qsize=5, seed=qseed), k=4, r=2,
+                theta=P.THETAS[qseed % len(P.THETAS)], L=1,
+            )
+            for L in (2, 3, 5, 8):
+                for n in (2, 3, 5):
+                    got = dtopl_icde(g, index, replace(q, L=L), P.THETAS, n=n)
+                    pool = pools.pop()
+                    want = reference_greedy(pool, L, lazy=True)
+                    assert [c.vertices for c in got] == [c.vertices for c in want]
+                    want = reference_greedy(pool, L, lazy=False)
+                    assert [c.vertices for c in greedy_wop(pool, L)] == [c.vertices for c in want]
+                    compared += len(pool) > L
+        assert compared >= 10, compared
+
+
+class TestCppMemo:
+    """``LocalGraph.cpp_memo`` holds each influenced community read, as
+    arrays, once per snapshot; only a read of ``cpp`` fills it."""
+
+    Q = Query(keywords=frozenset({"kw0", "kw1", "kw2", "kw3", "kw4"}), k=3, r=2, theta=0.2, L=4)
+
+    def test_topl_paths_leave_memo_empty(self, driver_graphs):
+        for g, index in driver_graphs.values():
+            g = fresh(g)
+            assert topl_icde(g, index, self.Q, P.THETAS)
+            assert brute_force_topl(g, self.Q)
+            assert atindex_query(g, vertex_trussness(g), self.Q)
+            assert g.sigma_memo and g.cpp_memo == {} and g._positions == {}
+
+    def test_repeated_dtopl_makes_no_influence_call(self, driver_graphs, monkeypatch):
+        """The second identical query reads every pool member from the memo
+        and computes none."""
+        g, index = driver_graphs["zipf"]
+        g = fresh(g)
+        influence, calls = LocalGraph.influence, []
+
+        def counting(self, seed, theta):
+            calls.append((frozenset(seed), theta))
+            return influence(self, seed, theta)
+
+        monkeypatch.setattr(LocalGraph, "influence", counting)
+        first = DiversifyStats()
+        want = dtopl_icde(g, index, self.Q, P.THETAS, n=3, stats=first)
+        assert calls and first.candidates > self.Q.L
+        assert (first.cpp_computed, first.cpp_memo_hits) == (first.candidates, 0)
+        calls.clear()
+        again = DiversifyStats()
+        got = dtopl_icde(g, index, self.Q, P.THETAS, n=3, stats=again)
+        assert (again.cpp_computed, again.cpp_memo_hits) == (0, first.candidates)
+        assert [(c.vertices, c.cpp) for c in got] == [(c.vertices, c.cpp) for c in want]
+        assert calls == []
+        assert len(g.cpp_memo) == first.candidates
+        for pos, val in g.cpp_memo.values():
+            assert pos.dtype == np.intp and val.dtype == np.float64
+            with pytest.raises(ValueError):
+                val[0] = 0.0
+
+    def test_editing_an_answer_changes_no_later_read(self, driver_graphs):
+        """An answer's ``cpp`` dict is its own: editing it reaches neither
+        the memo nor the ``cpp`` of a later answer, whether the answer was
+        scored by a miss (its dict came from scoring) or read a hit."""
+        g, index = driver_graphs["uniform"]
+        g = fresh(g)
+        answers = topl_icde(g, index, self.Q, P.THETAS) + dtopl_icde(
+            g, index, self.Q, P.THETAS, n=3
+        )
+        want = {c.vertices: g.influence(c.vertices, self.Q.theta) for c in answers}
+        for c in answers:
+            c.cpp[next(iter(c.cpp))] = 7.0
+            c.cpp[-1] = 1.0
+        later = brute_force_topl(g, replace(self.Q, L=50)) + dtopl_icde(
+            g, index, self.Q, P.THETAS, n=3
+        )
+        assert {c.vertices for c in later} >= set(want)
+        for c in later:
+            assert c.cpp == g.influence(c.vertices, self.Q.theta)

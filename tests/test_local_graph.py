@@ -733,8 +733,8 @@ class TestSigmaMemo:
     def test_view_and_graph_share_memo(self, local_medium, monkeypatch):
         """A community scored through the view is a hit through the graph,
         and the other way round; another θ is a miss. A hit makes no
-        influence call in ``refine``; the first read of its ``cpp`` makes
-        one, equal to the miss's, and a second read makes none."""
+        influence call in ``refine``, nor when its ``cpp`` is read: the
+        miss's first read stored it in the cpp memo the two share."""
         g = fresh(local_medium)
         scored = []
         influence = LocalGraph.influence
@@ -757,19 +757,22 @@ class TestSigmaMemo:
         hit = refine(g, a, q, set())
         assert scored == [(ga, 0.2)]
         assert (hit.vertices, hit.sigma) == (first.vertices, first.sigma)
-        # the first read of the hit's cpp computes it, later reads keep it
-        assert hit.cpp == first.cpp and scored == [(ga, 0.2), (ga, 0.2)]
-        assert hit.cpp == first.cpp and len(scored) == 2
+        # the hit's cpp is read from the memo, into a dict of its own
+        assert hit.cpp == first.cpp and hit.cpp is not first.cpp
+        assert hit.cpp is hit.cpp and scored == [(ga, 0.2)]
 
         second = refine(g, b, q, set())
-        assert scored[2:] == [(gb, 0.2)] and second.cpp
+        assert scored[1:] == [(gb, 0.2)] and second.cpp
         hit = refine(view, b, q, set())
-        assert scored[2:] == [(gb, 0.2)] and hit.sigma == second.sigma
+        assert scored[1:] == [(gb, 0.2)] and hit.sigma == second.sigma
+        assert hit.cpp == second.cpp and len(scored) == 2
 
         other = refine(view, a, dataclasses.replace(q, theta=0.3), set())
-        assert scored[3:] == [(ga, 0.3)] and other.cpp
+        assert scored[2:] == [(ga, 0.3)] and other.cpp
         assert set(g.sigma_memo) == {(ga, 0.2), (gb, 0.2), (ga, 0.3)}
         assert g.sigma_memo is view.sigma_memo
+        assert set(g.cpp_memo) == set(g.sigma_memo)
+        assert g.cpp_memo is view.cpp_memo and g._positions is view._positions
 
 
 def driver_index(g: LocalGraph):

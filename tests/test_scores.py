@@ -7,12 +7,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.influence.scores import (
-    diversity_score,
-    marginal_gain,
-    merge_max,
-    sigma_of,
-)
+from repro.influence.scores import diversity_score, sigma_of
+
+
+def merge_max(acc: dict, cpp: dict) -> dict:
+    """Reference pointwise max over dicts: ``acc`` := max(acc, cpp) in
+    place; returns ``acc``."""
+    for v, p in cpp.items():
+        if p > acc.get(v, 0.0):
+            acc[v] = p
+    return acc
+
+
+def marginal_gain(acc: dict, cpp: dict) -> float:
+    """Reference ΔD_g(S) = D(S ∪ {g}) − D(S) over dicts, given ``acc`` =
+    pointwise max over S: the improvements, added in ``cpp``'s order. The
+    array kernel of ``repro.core.diversify`` must return this very float."""
+    gain = 0.0
+    for v, p in cpp.items():
+        cur = acc.get(v, 0.0)
+        if p > cur:
+            gain += p - cur
+    return gain
+
 
 cpp_maps = st.dictionaries(
     st.integers(min_value=0, max_value=30),
