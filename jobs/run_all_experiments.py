@@ -1,9 +1,10 @@
 """Regenerate every evaluation table/figure of the paper in one run.
 
-    spark-submit jobs/run_all_experiments.py [--quick] [--out results.md]
+    spark-submit jobs/run_all_experiments.py [--out results.md]
 
 Prints each result table and (optionally) writes them as one markdown
-digest. ``--quick`` shrinks the scalability sweeps.
+digest. ``REPRO_SWEEP_NV_MAX`` bounds the scalability sweeps
+(``params.SWEEP_NV``).
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ from repro.experiments.datasets import table2_stats
 
 def main() -> None:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--quick", action="store_true")
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
     spark = get_spark("run_all_experiments")
@@ -35,7 +35,6 @@ def main() -> None:
             sys.__stdout__.write(s)
             return len(s)
 
-    sizes = (500, 1000, 2000, 5000) if args.quick else None
     t0 = time.time()
     with redirect_stdout(Tee()):
         print_rows("Table II (stand-in stats)", table2_stats(spark))
@@ -47,19 +46,13 @@ def main() -> None:
         print_rows("Fig 3e (L)", fig3.sweep_L(spark))
         print_rows("Fig 3f (|v.W|)", fig3.sweep_w(spark))
         print_rows("Fig 3g (|Sigma|)", fig3.sweep_sigma_domain(spark))
-        print_rows(
-            "Fig 3h (|V| scalability)",
-            fig3.sweep_scale(spark, sizes=sizes) if sizes else fig3.sweep_scale(spark),
-        )
+        print_rows("Fig 3h (|V| scalability)", fig3.sweep_scale(spark))
         print_rows("Fig 4 (pruning ablation)", fig4.run(spark))
         print_rows("Fig 5 (case study truss vs k-core)", fig5.run(spark))
         print_rows("Fig 6a (DTopL methods)", fig6.run_datasets(spark))
         print_rows("Fig 6b (DTopL vary L)", fig6.sweep_L(spark))
         print_rows("Fig 6c (DTopL vary n)", fig6.sweep_n(spark))
-        print_rows(
-            "Fig 6d (DTopL scalability)",
-            fig6.sweep_scale(spark, sizes=sizes) if sizes else fig6.sweep_scale(spark),
-        )
+        print_rows("Fig 6d (DTopL scalability)", fig6.sweep_scale(spark))
         print_rows("Fig 6e (DTopL accuracy)", fig6.accuracy(spark))
         print(f"\ntotal wall clock: {time.time() - t0:.1f}s")
     if args.out:

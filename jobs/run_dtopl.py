@@ -9,10 +9,9 @@ import argparse
 
 from _session import get_spark, print_rows
 
-from repro.core.diversify import dtopl_icde
+from repro.core.diversify import diversity, dtopl_icde
 from repro.experiments.datasets import prepare
 from repro.experiments.runner import make_query
-from repro.influence.scores import diversity_score
 
 
 def main() -> None:
@@ -32,7 +31,7 @@ def main() -> None:
         prep.local, prep.index, q, prep.pre.thetas, n=args.dtopl_n, method=args.method
     )
     print_rows(
-        f"diversified top-{args.L} (D = {diversity_score([c.cpp for c in sel]):.2f})",
+        f"diversified top-{args.L} (D = {diversity(sel):.2f})",
         [
             {
                 "pick": i + 1,

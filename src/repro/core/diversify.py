@@ -16,48 +16,48 @@ reduction from Maximum Coverage). The paper's pipeline:
 
 Both greedy variants return identical sets (same tie-breaking); tests verify
 that, the (1-1/e)·ε guarantee behaviour, and submodularity itself.
+
+Every step reads a candidate's influenced community from one source, the
+``cpp_memo`` arrays of the snapshot it was scored on (:func:`pool_rows`).
+The greedy gains, ``Optimal``'s matrix and D(S) itself (:func:`diversity`)
+all run on those arrays.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.index import IndexNode
 from repro.core.topl import Community, Query, topl_icde
-from repro.graph.local import LocalGraph, Rows, cpp_rows
+from repro.graph.local import LocalGraph, Rows
 
 
 @dataclass
 class DiversifyStats:
-    """Work counters: gain evaluations vs. the n·L·L worst case, and how
-    :func:`dtopl_icde` loaded its pool's influenced communities."""
+    """Work counters: gain evaluations vs. the n·L·L worst case."""
 
     gain_evaluations: int = 0
     candidates: int = 0
     pruned_evaluations: int = 0
-    #: pool members whose cpp was not in the snapshot's ``cpp_memo`` yet
-    cpp_computed: int = 0
-    #: pool members whose cpp was read from the memo
-    cpp_memo_hits: int = 0
 
 
 def pool_rows(candidates: Sequence[Community]) -> Tuple[List[Rows], int]:
-    """Every candidate's influenced community as (positions, values) arrays
-    over one position space, and the size of that space.
+    """Every candidate's influenced community as the (positions, values)
+    arrays of their snapshot's ``cpp_memo``, and the number of positions.
 
-    A pool scored on one snapshot reads the snapshot's ``cpp_memo`` and
-    positions. Any other pool (built with ``cpp=`` alone) gets a position
-    map over its own vertices, built here.
+    Raises ValueError when a candidate was scored on no graph, or on
+    another snapshot than the first: positions mean nothing across
+    snapshots.
     """
-    graph = candidates[0].graph if candidates else None
-    if graph is not None and all(c.graph is graph for c in candidates):
-        return [c.rows for c in candidates], len(graph.positions())
-    at: Dict[int, int] = {}
-    rows = [cpp_rows(c.cpp, at) for c in candidates]
-    return rows, len(at)
+    if not candidates:
+        return [], 0
+    graph = candidates[0].graph
+    if graph is None or any(c.graph is not graph for c in candidates):
+        raise ValueError("a pool's communities must be scored on one snapshot")
+    return [c.rows for c in candidates], len(graph.positions())
 
 
 def gain(acc: np.ndarray, rows: Rows) -> float:
@@ -79,6 +79,15 @@ def merge(acc: np.ndarray, rows: Rows) -> None:
     """``acc`` := the pointwise max of ``acc`` and cpp(g, ·), in place."""
     pos, val = rows
     acc[pos] = np.maximum(acc[pos], val)
+
+
+def diversity(selected: Sequence[Community]) -> float:
+    """D(S) = Σ_v max_{g∈S} cpp(g, v) (Eq. 6), merged on the arrays."""
+    rows, size = pool_rows(selected)
+    acc = np.zeros(size)
+    for r in rows:
+        merge(acc, r)
+    return float(acc.sum())
 
 
 def greedy_wp(
@@ -158,12 +167,12 @@ def optimal(
     L = min(L, n)
     if L == 0:
         return [], 0.0, 0
-    universe = sorted({v for c in candidates for v in c.cpp})
-    col = {v: i for i, v in enumerate(universe)}
-    mat = np.zeros((n, len(universe)))
-    for i, c in enumerate(candidates):
-        for v, p in c.cpp.items():
-            mat[i, col[v]] = p
+    # one column per position that some candidate influences
+    rows, _ = pool_rows(candidates)
+    cols = np.unique(np.concatenate([pos for pos, _ in rows]))
+    mat = np.zeros((n, len(cols)))
+    for i, (pos, val) in enumerate(rows):
+        mat[i, np.searchsorted(cols, pos)] = val
     best = {"d": -1.0, "combo": (), "count": 0}
 
     def dfs(start: int, chosen: tuple, acc: "np.ndarray") -> None:
@@ -178,7 +187,7 @@ def optimal(
         for i in range(start, n - remaining + 1):
             dfs(i + 1, chosen + (i,), np.maximum(acc, mat[i]))
 
-    dfs(0, (), np.zeros(len(universe)))
+    dfs(0, (), np.zeros(len(cols)))
     return [candidates[i] for i in best["combo"]], best["d"], best["count"]
 
 
@@ -203,15 +212,6 @@ def dtopl_icde(
         raise ValueError(f"n={n}: the candidate pool holds n*L communities, n >= 1")
     stats = stats if stats is not None else DiversifyStats()
     pool = topl_icde(local, index, replace(query, L=query.L * n), thetas)
-    # Eq. 6 reads every candidate's influenced community: load each one
-    # here, so that the selection below does the diversification alone.
-    memo = local.cpp_memo
-    for c in pool:
-        if (c.vertices, query.theta) in memo:
-            stats.cpp_memo_hits += 1
-        else:
-            stats.cpp_computed += 1
-        c.rows
     if method == "wp":
         return greedy_wp(pool, query.L, stats)
     if method == "wop":

@@ -25,11 +25,12 @@ current top-L floor σ_L (heap order ⇒ nothing later can either).
 ranking rule of every online path: this traversal, the brute-force
 reference, the ATindex baseline and the dataflow variant. ``refine`` scores
 each distinct (g, θ) once per snapshot through ``LocalGraph.sigma_memo``
-(:func:`score`, which the component bound reads too). TopL ranks by σ
-alone, so an answer's influenced community (``Community.cpp``) is computed
-only when something reads it: DTopL's diversity score does (Eq. 6). The
-first read of a (g, θ) stores it in ``LocalGraph.cpp_memo``, and every
-later answer with the same (g, θ) reads it from there.
+(:func:`score`, which the component bound reads too), and keeps no
+influenced community. TopL ranks by σ alone, so an answer's influenced
+community (``Community.rows``) is computed only when something reads it:
+DTopL's diversity score does (Eq. 6). The first read of a (g, θ) stores it
+in ``LocalGraph.cpp_memo``, the one source every answer with the same
+(g, θ) reads it from.
 """
 from __future__ import annotations
 
@@ -37,14 +38,13 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
 
 from repro.core.index import IndexNode
 from repro.core.keywords import bv_of
 from repro.core.precompute import z_index
 from repro.core.pruning import PruningStats, keyword_prune, score_prune
 from repro.graph.local import LocalGraph, Rows
-from repro.influence.scores import sigma_of
 
 
 @dataclass(frozen=True)
@@ -70,74 +70,58 @@ class Query:
             raise ValueError(f"L={self.L}: at least one community must be asked for")
 
 
-@dataclass(init=False)
+@dataclass(frozen=True, init=False)
 class Community:
-    """A seed community answer: its center, vertex set g and σ(g, θ).
+    """A seed community answer: its center, vertex set g and σ(g, θ), with
+    the full snapshot and θ it was scored at.
 
-    :attr:`cpp` is the influenced community. It is given at construction,
-    or read on first use from the memo of the graph and θ the community
-    was scored at (:attr:`rows`), and then kept. ``repr`` and ``==`` cover
-    center, vertices and σ, and compute nothing.
+    :attr:`rows` and :attr:`cpp` are the influenced community, read from the
+    snapshot's ``cpp_memo``. ``repr``, ``==`` and ``hash`` cover center,
+    vertices and σ, and compute nothing.
     """
 
     center: int
     vertices: FrozenSet[int]
     sigma: float
-    _cpp: Optional[Dict[int, float]] = field(default=None, repr=False, compare=False)
-    #: (full graph, θ) that :attr:`cpp` is computed at; never a keyword
-    #: truss view, so an answer does not keep the per-query view alive
-    _scored_at: Optional[Tuple[LocalGraph, float]] = field(
-        default=None, repr=False, compare=False
-    )
+    #: the full snapshot, never a keyword truss view, so that an answer does
+    #: not keep the per-query view alive
+    graph: Optional[LocalGraph] = field(default=None, repr=False, compare=False)
+    theta: Optional[float] = field(default=None, repr=False, compare=False)
 
     def __init__(
         self,
         center: int,
         vertices: FrozenSet[int],
         sigma: float,
-        cpp: Optional[Dict[int, float]] = None,
-        *,
         graph: Optional[LocalGraph] = None,
         theta: Optional[float] = None,
     ) -> None:
         if (graph is None) != (theta is None):
             raise ValueError("graph and theta go together")
-        self.center, self.vertices, self.sigma, self._cpp = center, vertices, sigma, cpp
-        self._scored_at = None if graph is None else (graph.snapshot, theta)
-
-    @property
-    def graph(self) -> Optional[LocalGraph]:
-        """The full snapshot the community was scored on, or None."""
-        return None if self._scored_at is None else self._scored_at[0]
+        # one write past the frozen __setattr__: the generated __init__
+        # makes one call per field, about twice the cost, and a query
+        # builds tens of communities
+        self.__dict__.update(
+            center=center, vertices=vertices, sigma=sigma,
+            graph=None if graph is None else graph.snapshot, theta=theta,
+        )
 
     @property
     def rows(self) -> Rows:
-        """:attr:`cpp` as the snapshot's ``cpp_memo`` arrays
-        (:meth:`LocalGraph.influenced`), filled from the community's own
-        ``cpp`` or by one influence call when (g, θ) is not there yet.
-        Raises ValueError on a community built without a graph."""
-        if self._scored_at is None:
+        """cpp(g, ·) over g^Inf (Eq. 6) as the snapshot's ``cpp_memo``
+        arrays (:meth:`LocalGraph.influenced`), computed by one influence
+        call on the first read of (g, θ). Raises ValueError on a community
+        built without a graph: an influenced community always holds g, so
+        none is empty."""
+        if self.graph is None:
             raise ValueError(f"community at {self.center} was not scored on a graph")
-        graph, theta = self._scored_at
-        return graph.influenced(self.vertices, theta, self._cpp)
+        return self.graph.influenced(self.vertices, self.theta)
 
     @property
     def cpp(self) -> Dict[int, float]:
-        """cpp(g, v) over g^Inf (Eq. 6): ``influence(vertices, θ)``.
-
-        On a community scored on a graph, the first read stores its arrays
-        in the snapshot's memo before any dict is handed out, so editing
-        the dict changes no later read of another answer. Raises ValueError
-        on a community built with neither ``cpp`` nor a graph: an
-        influenced community always holds g, so none is empty.
-        """
-        if self._scored_at is not None:
-            rows = self.rows
-            if self._cpp is None:
-                self._cpp = self.graph.cpp_of(rows)
-        elif self._cpp is None:
-            raise ValueError(f"community at {self.center} has no cpp and no graph")
-        return self._cpp
+        """:attr:`rows` as a ``{vertex: cpp}`` dict, a fresh one per read."""
+        rows = self.rows  # raises first on a community without a graph
+        return self.graph.cpp_of(rows)
 
 
 def refine(
@@ -149,32 +133,23 @@ def refine(
     community's vertex set is already in ``seen``; otherwise adds it to
     ``seen`` and returns it with σ (Eq. 5). The ``seen`` check runs before
     scoring because many centers of one community extract the same vertex
-    set. σ comes from ``local.sigma_memo`` when an earlier query scored the
-    same (g, θ), with no influence call; the community's ``cpp`` is then
-    read from ``local.cpp_memo``, or computed, if it is read. Otherwise the
-    influenced community is computed, kept on the community and its σ
-    memoised.
+    set. σ is read through :func:`score`.
     """
     g = local.seed_community(center, query.r, query.k, query.keywords)
     if g is None or g in seen:
         return None
     seen.add(g)
-    sigma, cpp = score(local, g, query.theta)
-    return Community(center, g, sigma, cpp, graph=local, theta=query.theta)
+    return Community(center, g, score(local, g, query.theta), local, query.theta)
 
 
-def score(
-    local: LocalGraph, g: FrozenSet[int], theta: float
-) -> Tuple[float, Optional[Dict[int, float]]]:
-    """σ(g, θ) and the influenced community it was computed from, or None
-    when σ comes from ``local.sigma_memo``; a miss is memoised."""
+def score(local: LocalGraph, g: FrozenSet[int], theta: float) -> float:
+    """σ(g, θ) from ``local.sigma_memo``, with no influence call when an
+    earlier query scored the same (g, θ); a miss is computed and memoised."""
     key = (g, theta)
     sigma = local.sigma_memo.get(key)
-    if sigma is not None:
-        return sigma, None
-    cpp = local.influence(g, theta)
-    sigma = local.sigma_memo[key] = sigma_of(cpp)
-    return sigma, cpp
+    if sigma is None:
+        sigma = local.sigma_memo[key] = local.sigma(g, theta)
+    return sigma
 
 
 def rank(communities: Iterable[Optional[Community]], L: int) -> List[Community]:
@@ -264,7 +239,7 @@ def topl_icde(
                 whole = view.component(child.vertex)
                 bound = bounds.get(whole)
                 if bound is None:
-                    bound = bounds[whole] = score(view, whole, query.theta)[0]
+                    bound = bounds[whole] = score(view, whole, query.theta)
                 key = min(key, bound)
             # Lemma 1/5 on the centers' own bit vectors (the center must be
             # in g, Def. 2). Every hop holds its center, so the test on the

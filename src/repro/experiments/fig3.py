@@ -86,10 +86,11 @@ def sweep_sigma_domain(spark: SparkSession) -> List[Dict]:
     return rows
 
 
-def sweep_scale(spark: SparkSession, sizes=None) -> List[Dict]:
-    """Fig. 3(h): |V(G)| scalability (paper 10K→1M; here 500→20K)."""
+def sweep_scale(spark: SparkSession) -> List[Dict]:
+    """Fig. 3(h): |V(G)| scalability over ``params.SWEEP_NV`` (paper
+    10K→1M; here 500→5K, or →10K with ``REPRO_SWEEP_NV_MAX=10000``)."""
     rows: List[Dict] = []
-    for n in (P.SWEEP_NV if sizes is None else sizes):
+    for n in P.SWEEP_NV:
         prep = prepare(spark, kind="nws", dist="uniform", n=n)
         t, ans = timed_topl(prep)
         rows.append(

@@ -16,12 +16,11 @@ from typing import Dict, List
 
 from pyspark.sql import SparkSession
 
-from repro.core.diversify import dtopl_icde, greedy_wp, optimal
+from repro.core.diversify import diversity, dtopl_icde, greedy_wp, optimal
 from repro.core.topl import topl_icde
 from repro.experiments import params as P
 from repro.experiments.datasets import figure2_datasets, prepare
 from repro.experiments.runner import make_query
-from repro.influence.scores import diversity_score
 
 
 def _pool(prep, *, n: int, L: int, qseed: int):
@@ -37,7 +36,7 @@ def _timed_dtopl(prep, method: str, *, n: int = P.N_DTOPL, L: int = P.L, qseeds=
         t0 = time.perf_counter()
         sel = dtopl_icde(prep.local, prep.index, q, prep.pre.thetas, n=n, method=method)
         total += time.perf_counter() - t0
-        d_total += diversity_score([c.cpp for c in sel])
+        d_total += diversity(sel)
     nq = len(list(qseeds))
     return {"seconds": round(total / nq, 4), "diversity": round(d_total / nq, 2)}
 
@@ -82,10 +81,10 @@ def sweep_n(spark: SparkSession) -> List[Dict]:
     return rows
 
 
-def sweep_scale(spark: SparkSession, sizes=None) -> List[Dict]:
-    """Fig. 6(d): |V| scalability (Greedy_WP, Uni)."""
+def sweep_scale(spark: SparkSession) -> List[Dict]:
+    """Fig. 6(d): |V| scalability over ``params.SWEEP_NV`` (Greedy_WP, Uni)."""
     rows: List[Dict] = []
-    for n_v in (P.SWEEP_NV if sizes is None else sizes):
+    for n_v in P.SWEEP_NV:
         prep = prepare(spark, kind="nws", dist="uniform", n=n_v)
         rows.append({"n_vertices": n_v, **_timed_dtopl(prep, "wp")})
     return rows
@@ -106,7 +105,7 @@ def accuracy(spark: SparkSession, *, n: int = 1_000) -> List[Dict]:
             if not pool:
                 continue
             sel = greedy_wp(pool, P.L)
-            d_greedy = diversity_score([c.cpp for c in sel])
+            d_greedy = diversity(sel)
             _, d_opt, _ = optimal(pool, P.L)
             if d_opt > 0:
                 ratios.append(d_greedy / d_opt)

@@ -29,8 +29,10 @@ ring test), peeling only when both miss; the graph and its views share a
 before computing influence, and the keyword -> vertices map that gives each
 view its V_Q. They also share ``cpp_memo``: each influenced community read
 so far, as read-only (positions, values) arrays over one vertex -> 0..n-1
-map (:meth:`LocalGraph.influenced`). Only a read of ``Community.cpp`` or
-DTopL's selection fills it, so TopL leaves it empty.
+map (:meth:`LocalGraph.influenced`), the one source of every answer's
+influenced community. Only a read of an answer's ``Community.rows`` fills
+it (DTopL's selection and D(S) read them), never scoring, so TopL leaves
+it empty.
 """
 from __future__ import annotations
 
@@ -54,9 +56,8 @@ Rows = Tuple[np.ndarray, np.ndarray]
 
 def cpp_rows(cpp: Dict[int, float], at: Dict[int, int]) -> Rows:
     """``cpp`` as read-only (positions, values) arrays, in the dict's own
-    order. A vertex missing from the position map ``at`` is given the next
-    position."""
-    pos = np.fromiter((at.setdefault(v, len(at)) for v in cpp), np.intp, len(cpp))
+    order, with positions from the map ``at``."""
+    pos = np.fromiter(map(at.__getitem__, cpp), np.intp, len(cpp))
     val = np.fromiter(cpp.values(), np.float64, len(cpp))
     pos.flags.writeable = val.flags.writeable = False
     return pos, val
@@ -219,23 +220,11 @@ class LocalGraph:
         return dist
 
     # -------------------------------------------------------- induced support
-    def induced_support(
-        self, vset: Set[int], edges: Optional[Set[Tuple[int, int]]] = None
-    ) -> Dict[Tuple[int, int], int]:
-        """Edge support (triangle count per edge) of an induced subgraph.
-
-        ``edges`` restricts the subgraph further (used during peeling);
-        defaults to all adjacency edges inside ``vset``.
-        """
-        if edges is None:
-            edges = {
-                (u, v) for u in vset for v in self.adj[u] if v in vset and u < v
-            }
-        nbr: Dict[int, Set[int]] = {v: set() for v in vset}
-        for u, v in edges:
-            nbr[u].add(v)
-            nbr[v].add(u)
-        return {(u, v): len(nbr[u] & nbr[v]) for (u, v) in edges}
+    def induced_support(self, vset: Set[int]) -> Dict[Tuple[int, int], int]:
+        """Edge support (triangle count per edge) of the subgraph induced by
+        ``vset``, canonical (u < v)."""
+        nbr = self._nbr(vset)
+        return {(u, v): len(nu & nbr[v]) for u, nu in nbr.items() for v in nu if u < v}
 
     # ----------------------------------------------------------------- truss
     def _nbr(self, vset: Set[int]) -> Dict[int, Set[int]]:
@@ -500,19 +489,13 @@ class LocalGraph:
             at.update(zip(self._order, range(len(self._order))))
         return at
 
-    def influenced(
-        self, g: FrozenSet[int], theta: float, cpp: Optional[Dict[int, float]] = None
-    ) -> Rows:
+    def influenced(self, g: FrozenSet[int], theta: float) -> Rows:
         """cpp(g, ·) at θ as (positions, values) arrays in :meth:`influence`'s
-        order, read from ``cpp_memo``. A miss stores ``cpp`` when it is
-        given (the influenced community σ was scored from), and
-        ``influence(g, theta)`` otherwise."""
+        order, read from ``cpp_memo``; a miss stores ``influence(g, theta)``."""
         key = (g, theta)
         rows = self.cpp_memo.get(key)
         if rows is None:
-            if cpp is None:
-                cpp = self.influence(g, theta)
-            rows = self.cpp_memo[key] = cpp_rows(cpp, self.positions())
+            rows = self.cpp_memo[key] = cpp_rows(self.influence(g, theta), self.positions())
         return rows
 
     def cpp_of(self, rows: Rows) -> Dict[int, float]:

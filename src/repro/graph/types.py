@@ -70,9 +70,3 @@ class SocialGraph:
     def adjacency(self) -> DataFrame:
         """Symmetric unweighted adjacency ``(a, b)``: both orientations."""
         return symmetric_adjacency(self.undirected_edges())
-
-    def num_vertices(self) -> int:
-        return self.vertices.count()
-
-    def num_undirected_edges(self) -> int:
-        return self.undirected_edges().count()

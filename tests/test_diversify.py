@@ -14,6 +14,7 @@ from repro.core import diversify
 from repro.core.baseline import atindex_query, edge_trussness
 from repro.core.diversify import (
     DiversifyStats,
+    diversity,
     dtopl_icde,
     gain,
     greedy_wop,
@@ -26,21 +27,36 @@ from repro.core.topl import Community, Query, brute_force_topl, topl_icde
 from repro.experiments import params as P
 from repro.graph import generators as gen
 from repro.graph.local import LocalGraph, cpp_rows
-from repro.influence.scores import diversity_score
 from tests.test_local_graph import driver_index, fresh
-from tests.test_scores import marginal_gain, merge_max
+from tests.test_scores import diversity_score, marginal_gain, merge_max
+
+#: the θ every synthetic community is scored at
+THETA = 0.1
+
+
+def memo_graph(universe):
+    """An edgeless snapshot of vertices 0..universe-1: its ``cpp_memo`` is
+    filled by hand with :func:`memo_community`."""
+    return LocalGraph(adj={v: set() for v in range(universe)}, out={}, keywords={}, bv={})
+
+
+def memo_community(graph, center, cpp):
+    """The community {center} on ``graph`` at :data:`THETA`, whose
+    influenced community is the map ``cpp``, stored in the graph's memo."""
+    g = frozenset({center})
+    graph.cpp_memo[g, THETA] = cpp_rows(cpp, graph.positions())
+    return Community(center, g, sum(cpp.values()), graph, THETA)
 
 
 def synth_candidates(n, seed=0, universe=60):
-    """Random candidate communities with random cpp maps."""
+    """Random candidate communities with random cpp maps, on one snapshot."""
     rng = random.Random(seed)
+    graph = memo_graph(universe)
     cands = []
     for i in range(n):
         size = rng.randint(2, 12)
         cpp = {rng.randrange(universe): round(rng.uniform(0.1, 1.0), 3) for _ in range(size)}
-        cands.append(
-            Community(center=i, vertices=frozenset({i}), sigma=sum(cpp.values()), cpp=cpp)
-        )
+        cands.append(memo_community(graph, i, cpp))
     cands.sort(key=lambda c: -c.sigma)
     return cands
 
@@ -274,7 +290,7 @@ class TestArrayKernel:
             }
             for _ in range(8)
         ]
-        at = {}
+        at = dict(zip(rng.sample(range(60), 60), range(60)))
         rows = [cpp_rows(m, at) for m in maps]
         acc_d, acc_a = {}, np.zeros(len(at))
         zero = positive = 0
@@ -289,13 +305,49 @@ class TestArrayKernel:
             assert acc_a.tolist() == [acc_d.get(v, 0.0) for v in at]
         assert zero and positive
 
-    def test_pool_without_graph_gets_its_own_positions(self):
+    def test_pool_rows_takes_one_snapshot(self):
+        """A pool reads its snapshot's memo and position space; an empty
+        pool has none, and a pool that mixes two snapshots, or holds a
+        community scored on no graph, is refused."""
         cands = synth_candidates(6, seed=4)
         rows, size = pool_rows(cands)
-        assert size == len({v for c in cands for v in c.cpp})
+        assert size == 60
         for c, (pos, val) in zip(cands, rows):
             assert val.tolist() == list(c.cpp.values())
-            assert len(set(pos.tolist())) == len(c.cpp)
+            stored = c.graph.cpp_memo[c.vertices, THETA]
+            assert pos is stored[0] and val is stored[1]
+        assert pool_rows([]) == ([], 0)
+        other = synth_candidates(2, seed=5)
+        with pytest.raises(ValueError, match="one snapshot"):
+            pool_rows(cands + other)
+        bare = Community(cands[0].center, cands[0].vertices, cands[0].sigma)
+        with pytest.raises(ValueError, match="one snapshot"):
+            pool_rows(cands + [bare])
+        with pytest.raises(ValueError, match="one snapshot"):
+            pool_rows([bare])
+
+
+class TestDiversity:
+    """``diversity`` is D(S) (Eq. 6) on the memo's arrays."""
+
+    @pytest.mark.parametrize("dist", ["uniform", "zipf"])
+    def test_equals_reference_on_dtopl_answers(self, driver_graphs, dist, monkeypatch):
+        g, index = driver_graphs[dist]
+        pools = capture_pools(monkeypatch)
+        checked = 0
+        for qseed in range(4):
+            q = Query(
+                keywords=P.query_keywords(qsize=5, seed=qseed), k=4, r=2,
+                theta=P.THETAS[qseed % len(P.THETAS)], L=3,
+            )
+            sel = dtopl_icde(g, index, q, P.THETAS, n=3)
+            pool = pools.pop()
+            for s in (sel, pool, pool[:1]):
+                want = diversity_score([c.cpp for c in s])
+                assert diversity(s) == pytest.approx(want, rel=1e-12, abs=0.0)
+            checked += len(sel) > 1
+        assert checked
+        assert diversity([]) == 0.0
 
 
 class TestSelectionMatchesReference:
@@ -309,8 +361,7 @@ class TestSelectionMatchesReference:
             cands = synth_candidates(n, seed=seed)
             # copies of the first candidates tie their gains exactly
             cands += [
-                Community(c.center + n, frozenset({c.center + n}), c.sigma, cpp=dict(c.cpp))
-                for c in cands[: n // 4]
+                memo_community(c.graph, c.center + n, c.cpp) for c in cands[: n // 4]
             ]
             for lazy, select in ((True, greedy_wp), (False, greedy_wop)):
                 want = reference_greedy(cands, L, lazy)
@@ -354,8 +405,10 @@ class TestCppMemo:
             assert g.sigma_memo and g.cpp_memo == {} and g._positions == {}
 
     def test_repeated_dtopl_makes_no_influence_call(self, driver_graphs, monkeypatch):
-        """The second identical query reads every pool member from the memo
-        and computes none."""
+        """The first query computes every pool member's influenced community
+        into the memo, one influence call past scoring each; the
+        second identical query reads them all from the memo and makes no
+        influence call."""
         g, index = driver_graphs["zipf"]
         g = fresh(g)
         influence, calls = LocalGraph.influence, []
@@ -365,26 +418,29 @@ class TestCppMemo:
             return influence(self, seed, theta)
 
         monkeypatch.setattr(LocalGraph, "influence", counting)
-        first = DiversifyStats()
-        want = dtopl_icde(g, index, self.Q, P.THETAS, n=3, stats=first)
-        assert calls and first.candidates > self.Q.L
-        assert (first.cpp_computed, first.cpp_memo_hits) == (first.candidates, 0)
+        pools = capture_pools(monkeypatch)
+        topl_icde(fresh(g), index, replace(self.Q, L=self.Q.L * 3), P.THETAS)
+        scoring = len(calls)
         calls.clear()
-        again = DiversifyStats()
-        got = dtopl_icde(g, index, self.Q, P.THETAS, n=3, stats=again)
-        assert (again.cpp_computed, again.cpp_memo_hits) == (0, first.candidates)
+        want = dtopl_icde(g, index, self.Q, P.THETAS, n=3)
+        pool = {(c.vertices, self.Q.theta) for c in pools.pop()}
+        assert len(pool) > self.Q.L and set(g.cpp_memo) == pool
+        # the pool is ranked before the selection reads any member
+        assert len(calls) == scoring + len(pool) and set(calls[scoring:]) == pool
+        calls.clear()
+        got = dtopl_icde(g, index, self.Q, P.THETAS, n=3)
+        assert {(c.vertices, self.Q.theta) for c in pools.pop()} == pool
         assert [(c.vertices, c.cpp) for c in got] == [(c.vertices, c.cpp) for c in want]
         assert calls == []
-        assert len(g.cpp_memo) == first.candidates
+        assert set(g.cpp_memo) == pool
         for pos, val in g.cpp_memo.values():
             assert pos.dtype == np.intp and val.dtype == np.float64
             with pytest.raises(ValueError):
                 val[0] = 0.0
 
     def test_editing_an_answer_changes_no_later_read(self, driver_graphs):
-        """An answer's ``cpp`` dict is its own: editing it reaches neither
-        the memo nor the ``cpp`` of a later answer, whether the answer was
-        scored by a miss (its dict came from scoring) or read a hit."""
+        """Every read of an answer's ``cpp`` is a fresh dict: editing it
+        reaches neither the memo nor the ``cpp`` of a later answer."""
         g, index = driver_graphs["uniform"]
         g = fresh(g)
         answers = topl_icde(g, index, self.Q, P.THETAS) + dtopl_icde(

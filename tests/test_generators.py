@@ -174,13 +174,13 @@ class TestEdgesAndVertices:
 class TestStandIns:
     def test_dblp_like_builds(self, spark):
         g = gen.dblp_like(spark, 300, seed=1)
-        assert g.num_vertices() == 300
-        assert g.num_undirected_edges() > 300  # ring + cliques
+        assert g.vertices.count() == 300
+        assert g.undirected_edges().count() > 300  # ring + cliques
 
     def test_amazon_like_builds(self, spark):
         g = gen.amazon_like(spark, 300, seed=1)
-        assert g.num_vertices() == 300
-        assert g.num_undirected_edges() > 300
+        assert g.vertices.count() == 300
+        assert g.undirected_edges().count() > 300
 
 
 class TestBuildSocialGraph:

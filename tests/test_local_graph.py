@@ -216,7 +216,8 @@ class TestSupportAndTruss:
         and it is maximal (re-adding any removed edge breaks the property
         chain — checked by peeling from the full graph again)."""
         vs, es = local_small.ktruss(set(local_small.vertices()), 4)
-        sup = local_small.induced_support(vs, es)
+        sup = make_local(sorted(es)).induced_support(vs)
+        assert set(sup) == es
         assert all(s >= 2 for s in sup.values())
 
 
@@ -734,7 +735,7 @@ class TestSigmaMemo:
         """A community scored through the view is a hit through the graph,
         and the other way round; another θ is a miss. A hit makes no
         influence call in ``refine``, nor when its ``cpp`` is read: the
-        miss's first read stored it in the cpp memo the two share."""
+        miss's first read computed it into the cpp memo the two share."""
         g = fresh(local_medium)
         scored = []
         influence = LocalGraph.influence
@@ -753,22 +754,24 @@ class TestSigmaMemo:
         (ga, a), (gb, b) = list(comms.items())[:2]
 
         first = refine(view, a, q, set())
-        assert scored == [(ga, 0.2)] and first.cpp
-        hit = refine(g, a, q, set())
         assert scored == [(ga, 0.2)]
+        # scoring keeps no influenced community: the first read computes it
+        assert first.cpp and scored == [(ga, 0.2)] * 2
+        hit = refine(g, a, q, set())
+        assert len(scored) == 2
         assert (hit.vertices, hit.sigma) == (first.vertices, first.sigma)
         # the hit's cpp is read from the memo, into a dict of its own
-        assert hit.cpp == first.cpp and hit.cpp is not first.cpp
-        assert hit.cpp is hit.cpp and scored == [(ga, 0.2)]
+        cpp = hit.cpp
+        assert cpp == first.cpp and cpp is not hit.cpp and len(scored) == 2
 
         second = refine(g, b, q, set())
-        assert scored[1:] == [(gb, 0.2)] and second.cpp
+        assert scored[2:] == [(gb, 0.2)] and second.cpp
         hit = refine(view, b, q, set())
-        assert scored[1:] == [(gb, 0.2)] and hit.sigma == second.sigma
-        assert hit.cpp == second.cpp and len(scored) == 2
+        assert scored[2:] == [(gb, 0.2)] * 2 and hit.sigma == second.sigma
+        assert hit.cpp == second.cpp and len(scored) == 4
 
         other = refine(view, a, dataclasses.replace(q, theta=0.3), set())
-        assert scored[2:] == [(ga, 0.3)] and other.cpp
+        assert scored[4:] == [(ga, 0.3)] and other.cpp
         assert set(g.sigma_memo) == {(ga, 0.2), (gb, 0.2), (ga, 0.3)}
         assert g.sigma_memo is view.sigma_memo
         assert set(g.cpp_memo) == set(g.sigma_memo)
@@ -825,8 +828,8 @@ class TestComponentBound:
                             continue
                         whole = view.component(center)
                         assert comm <= whole, (center, r, k, query)
-                        bound, _ = topl_module.score(g, whole, theta)
-                        assert bound >= topl_module.score(g, comm, theta)[0], (
+                        bound = topl_module.score(g, whole, theta)
+                        assert bound >= topl_module.score(g, comm, theta), (
                             center, r, k, query,
                         )
                         checked += 1

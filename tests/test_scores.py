@@ -1,13 +1,19 @@
-"""Score algebra over cpp maps (influence/scores.py)."""
+"""Reference score algebra over cpp dicts: D(S) (Eq. 6), the pointwise max
+and the marginal gain ΔD_g(S). ``repro.core.diversify`` computes them on
+arrays, and its tests compare against these."""
 from __future__ import annotations
-
-import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.influence.scores import diversity_score, sigma_of
+
+def diversity_score(cpp_maps) -> float:
+    """Reference D(S) = Σ_v max_{g∈S} cpp(g, v) (Eq. 6) over dicts."""
+    merged: dict = {}
+    for m in cpp_maps:
+        merge_max(merged, m)
+    return float(sum(merged.values()))
 
 
 def merge_max(acc: dict, cpp: dict) -> dict:
@@ -38,14 +44,10 @@ cpp_maps = st.dictionaries(
 )
 
 
-def test_sigma_of():
-    assert sigma_of({1: 0.5, 2: 1.0}) == pytest.approx(1.5)
-    assert sigma_of({}) == 0.0
-
-
 def test_diversity_single_is_sigma():
     m = {1: 0.4, 2: 0.9}
-    assert diversity_score([m]) == pytest.approx(sigma_of(m))
+    assert diversity_score([m]) == pytest.approx(sum(m.values()))
+    assert diversity_score([]) == 0.0
 
 
 def test_diversity_disjoint_adds():
@@ -99,4 +101,4 @@ def test_property_merge_equals_diversity(maps):
     acc: dict = {}
     for m in maps:
         merge_max(acc, m)
-    assert sigma_of(acc) == pytest.approx(diversity_score(maps))
+    assert sum(acc.values()) == pytest.approx(diversity_score(maps))

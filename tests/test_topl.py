@@ -5,6 +5,8 @@ import pytest
 
 from repro.core.pruning import PruningStats
 from repro.core.topl import Community, Query, brute_force_topl, rank, topl_icde
+from repro.graph.local import LocalGraph
+from tests.test_local_graph import fresh
 
 
 def run(prep, q, **kw):
@@ -174,16 +176,46 @@ def test_query_accepts_boundary_values():
     q_default(L=1, k=2, r=1, theta=1.0, keywords=frozenset({"kw0"}))
 
 
-def test_community_cpp_is_given_or_computed_once(prepared_small):
-    """A given ``cpp`` is kept; one scored on a graph is computed on its
-    first read; with neither, reading it raises rather than reading {}."""
-    local = prepared_small.local
-    given = Community(3, frozenset({3}), 1.0, cpp={3: 1.0})
-    assert given.cpp == {3: 1.0}
+def test_community_cpp_is_computed_once(prepared_small, monkeypatch):
+    """A community scored on a graph computes its influenced community on
+    the first read, into the snapshot's memo, and every later read is a
+    fresh dict from there; without a graph, reading it raises rather than
+    reading {}."""
+    local = fresh(prepared_small.local)
     g = frozenset(local.adj[3] | {3})
-    scored = Community(3, g, local.sigma(g, 0.2), graph=local, theta=0.2)
-    assert scored.cpp == local.influence(g, 0.2) and scored.cpp is scored.cpp
+    want = local.influence(g, 0.2)
+    influence, calls = LocalGraph.influence, []
+
+    def counting(self, seed, theta):
+        calls.append((frozenset(seed), theta))
+        return influence(self, seed, theta)
+
+    monkeypatch.setattr(LocalGraph, "influence", counting)
+    scored = Community(3, g, local.sigma(g, 0.2), local, 0.2)
+    calls.clear()
+    first = scored.cpp
+    assert first == want and calls == [(g, 0.2)]
+    assert scored.cpp == want and scored.cpp is not first and len(calls) == 1
     with pytest.raises(ValueError):
         Community(3, g, 1.0).cpp
     with pytest.raises(ValueError):
+        Community(3, g, 1.0).rows
+    with pytest.raises(ValueError):
         Community(3, g, 1.0, graph=local)
+
+
+def test_community_equality_ignores_graph_and_theta(prepared_small):
+    """``==`` and ``hash`` cover center, vertices and σ; an answer holds the
+    full snapshot even when it was scored through a keyword truss view."""
+    local = prepared_small.local
+    view = local.keyword_truss({"kw0", "kw1"}, 3)
+    g = frozenset({3, 5})
+    bare = Community(3, g, 1.5)
+    scored = [Community(3, g, 1.5, local, 0.2), Community(3, g, 1.5, view, 0.3)]
+    for c in scored:
+        assert c == bare and hash(c) == hash(bare)
+        assert c.graph is local
+    assert len({bare, *scored}) == 1
+    assert Community(4, g, 1.5) != bare and Community(3, g, 1.0) != bare
+    want = "Community(center=3, vertices=frozenset({3, 5}), sigma=1.5)"
+    assert repr(bare) == repr(scored[0]) == want
