@@ -200,9 +200,6 @@ def topl_icde(
     tiebreak = itertools.count()
     seen: Set[FrozenSet[int]] = set()
 
-    def sigma_l() -> float:
-        return results[0][0] if len(results) >= query.L else -math.inf
-
     # Lemma 2 at the leaves: every seed community lies in T_k(G_Q), so a
     # center outside it hosts none, and the rest extract on its edges.
     view = local.keyword_truss(query.keywords, query.k) if use_support else local
@@ -214,7 +211,10 @@ def topl_icde(
         neg_key, _, item = heapq.heappop(heap)
         is_node = isinstance(item, IndexNode)
         stats.visited_nodes += is_node
-        if use_score and -neg_key <= sigma_l():
+        # σ_L, read once per pop: the buffer changes only when an entry is
+        # refined, never while a node's children are tested
+        sigma_l = results[0][0] if len(results) >= query.L else -math.inf
+        if use_score and -neg_key <= sigma_l:
             # Lemma 7 on the heap order: every remaining node and entry is
             # bounded by this key, so the whole frontier is pruned at once.
             stats.heap_terminated += sum(n.size for _, _, n in heap) + item.size
@@ -247,7 +247,7 @@ def topl_icde(
             # holds a query keyword, so the test never fires on it.
             if use_keyword and keyword_prune(child.bv_self, qbv):
                 stats.keyword += child.size
-            elif use_score and score_prune(key, sigma_l()):
+            elif use_score and score_prune(key, sigma_l):
                 stats.score += child.size
             elif leaf and use_support and not member:
                 # no edge in T_k(G_Q), so no seed community (Lemma 2)

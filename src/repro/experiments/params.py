@@ -2,8 +2,9 @@
 
 The only deviation is scale: the paper defaults to |V(G)| = 50K and sweeps
 10K→1M on a bare-metal i9; this single-container reproduction defaults to
-|V(G)| = 2K and sweeps 500→20K (DESIGN.md §4). All claims compared are
-relative (orderings / factors / trend shapes).
+|V(G)| = 2K and sweeps 500→5K, or 500→10K with REPRO_SWEEP_NV_MAX=10000
+(``SWEEP_NV``; DESIGN.md §4). All claims compared are relative (orderings /
+factors / trend shapes).
 """
 from __future__ import annotations
 

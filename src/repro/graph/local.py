@@ -14,6 +14,12 @@ Seed-community extraction (where it peels), :meth:`LocalGraph.ktruss`,
 the per-query keyword truss view (:meth:`LocalGraph.keyword_truss`) and
 hence ATindex's edge trussness share one queue-based k-truss peel
 (:class:`_Peel`) that counts support once and updates it as edges leave.
+It first cuts vertices of degree ≤ k-2, cascading (the (k-1)-core cut,
+the routine :meth:`LocalGraph.kcore` runs too): a vertex with an edge in a
+k-truss has that edge's other end and its k-2 common neighbours there, so
+no vertex cut had one. The keyword truss view peels from T_k(G), the full
+graph's own k-truss restricted to V_Q, peeled once per k and shared with
+the views: T_k(G_Q) is a k-truss subgraph of G, so it lies in T_k(G).
 Influence (:meth:`LocalGraph.influence`) merges per-source maximum
 influence out-arborescences, each built once by a max-product Dijkstra and
 memoised on the graph (shared with its keyword truss views), so communities
@@ -37,6 +43,7 @@ it empty.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
 
@@ -122,6 +129,12 @@ class LocalGraph:
     #: keyword -> the vertices holding it, built by the first
     #: :meth:`holding` call; ``init=True`` for the same sharing as ``_arbo``.
     _holders: Dict[str, Set[int]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    #: k -> the neighbour map of T_k(G), the full graph's maximal k-truss,
+    #: peeled by the first :meth:`keyword_truss` call at k; ``init=True``
+    #: for the same sharing as ``_arbo``.
+    _trusses: Dict[int, Dict[int, Set[int]]] = field(
         default_factory=dict, repr=False, compare=False
     )
     #: how a :meth:`keyword_truss` view was peeled. ``init=False``:
@@ -231,11 +244,16 @@ class LocalGraph:
         """Neighbour map of the induced subgraph on ``vset``."""
         return {v: self.adj[v] & vset for v in vset}
 
-    def _truss_nbr(self, vset: Set[int], k: int) -> Dict[int, Set[int]]:
+    def _truss_nbr(
+        self, vset: Set[int], k: int, within: Optional[Dict[int, Set[int]]] = None
+    ) -> Dict[int, Set[int]]:
         """Neighbour map of the maximal k-truss of the induced subgraph on
         ``vset``: edges with support < k-2 (paper Def. 2 / Lemma 2) peeled
-        by :class:`_Peel`, vertices left without edges dropped."""
-        nbr = self._nbr(vset)
+        by :class:`_Peel`, vertices left without edges dropped. With
+        ``within``, a neighbour map of a subgraph that holds that k-truss,
+        the peel starts from ``within``'s edges instead of this graph's."""
+        adj = self.adj if within is None else within
+        nbr = {v: adj[v] & vset for v in vset if v in adj}
         _Peel(nbr, k).run()
         return {u: nu for u, nu in nbr.items() if nu}
 
@@ -253,6 +271,13 @@ class LocalGraph:
         """View of T_k(G_Q): the maximal k-truss of the subgraph induced by
         the vertices holding a query keyword.
 
+        The peel starts from T_k(G), the full graph's maximal k-truss,
+        restricted to V_Q. T_k(G_Q) is a k-truss subgraph of G, so it lies
+        in T_k(G); hence T_k(G_Q) = T_k(T_k(G)[V_Q]), and the edges of G_Q
+        outside T_k(G) are never counted. T_k(G) is peeled on the first
+        call at k and kept in ``_trusses``, which the views share. (A view
+        asked for a keyword truss of its own peels its own edges.)
+
         Every seed community of (``query``, k) is a k-truss inside G_Q, so
         its edges all lie in T_k(G_Q); it has radius ≤ r over its own edges,
         so the depth-r BFS over the view reaches all of it. Hence
@@ -269,7 +294,12 @@ class LocalGraph:
         test, and returns a component without peeling when its candidate
         BFS covers one.
         """
-        nbr = self._truss_nbr(self.holding(query), k)
+        within = None
+        if self._view is None:
+            within = self._trusses.get(k)
+            if within is None:
+                within = self._trusses[k] = self._truss_nbr(set(self.adj), k)
+        nbr = self._truss_nbr(self.holding(query), k, within)
         components: Dict[int, FrozenSet[int]] = {}
         for v in nbr:
             if v not in components:
@@ -293,20 +323,9 @@ class LocalGraph:
     # ----------------------------------------------------------------- k-core
     def kcore(self, vset: Set[int], k: int) -> Set[int]:
         """Maximal k-core of the induced subgraph on ``vset`` (case study)."""
-        alive = set(vset)
-        deg = {v: len(self.adj[v] & alive) for v in alive}
-        queue = [v for v in alive if deg[v] < k]
-        while queue:
-            u = queue.pop()
-            if u not in alive:
-                continue
-            alive.discard(u)
-            for v in self.adj[u]:
-                if v in alive:
-                    deg[v] -= 1
-                    if deg[v] < k:
-                        queue.append(v)
-        return alive
+        nbr = self._nbr(vset)
+        _cut_core(nbr, k)
+        return set(nbr)
 
     # --------------------------------------------------------- seed community
     def seed_community(
@@ -477,8 +496,12 @@ class LocalGraph:
         return [(best[v], v, i + size[v]) for i, v in enumerate(order)]
 
     def sigma(self, seed: Iterable[int], theta: float) -> float:
-        """Influential score σ(g) = Σ_{v∈g^Inf} cpp(g, v) (paper Eq. 5)."""
-        return float(sum(self.influence(seed, theta).values()))
+        """Influential score σ(g) = Σ_{v∈g^Inf} cpp(g, v) (paper Eq. 5).
+
+        Summed by ``math.fsum``, which rounds correctly, so σ does not depend
+        on the order :meth:`influence` returns its entries in, and hence not
+        on the iteration order of ``seed``."""
+        return math.fsum(self.influence(seed, theta).values())
 
     def positions(self) -> Dict[int, int]:
         """vertex -> its position 0..n-1 in the full graph, built on the
@@ -505,15 +528,37 @@ class LocalGraph:
         return dict(zip(map(self._order.__getitem__, pos.tolist()), val.tolist()))
 
 
+def _cut_core(nbr: Dict[int, Set[int]], k: int) -> None:
+    """Cut from the neighbour map ``nbr``, in place, every vertex of degree
+    < k with its edges, cascading: what is left is the maximal k-core."""
+    low = k - 1
+    queue = [v for v, nv in nbr.items() if len(nv) <= low]
+    while queue:
+        u = queue.pop()
+        for v in nbr.pop(u):
+            nv = nbr[v]
+            nv.discard(u)
+            if len(nv) == low:
+                queue.append(v)
+
+
 class _Peel:
     """Queue-based k-truss peel over a neighbour map, edited in place.
 
-    Support (triangles per edge) is counted once. Removing an edge (u, v)
-    decrements the other two edges of every triangle (u, v, w) and queues an
-    edge whose support falls below k-2 — the standard truss decomposition
-    (Cohen 2008; Wang & Cheng, VLDB 2012). :meth:`drop` removes vertices
-    outright (the radius cut in :meth:`LocalGraph.seed_community`) and
-    resumes the peel on the same counts.
+    The peel first cuts the maximal (k-1)-core (:func:`_cut_core`): a
+    vertex with an edge (u, v) in a k-truss has v and the edge's k-2 common
+    neighbours there, so at least k-1 neighbours, and a vertex of degree
+    ≤ k-2 is removed outright, cascading, before any support is counted. If
+    the cut removes the center, nothing is counted and :meth:`run` returns
+    False.
+
+    Support (triangles per edge) is then counted once on what is left.
+    Removing an edge (u, v) decrements the other two edges of every
+    triangle (u, v, w) and queues an edge whose support falls below k-2 —
+    the standard truss decomposition (Cohen 2008; Wang & Cheng, VLDB 2012).
+    :meth:`drop` removes vertices outright (the radius cut in
+    :meth:`LocalGraph.seed_community`) and resumes the peel on the same
+    counts.
     """
 
     def __init__(
@@ -524,6 +569,9 @@ class _Peel:
         self.center = center
         self.sup: Dict[Tuple[int, int], int] = {}
         self.queue: List[Tuple[int, int]] = []
+        _cut_core(nbr, self.need + 1)
+        if center is not None and center not in nbr:
+            return
         for u, nu in nbr.items():
             for v in nu:
                 if u < v:
@@ -553,7 +601,7 @@ class _Peel:
             if (u == center or v == center) and not nbr[center]:
                 queue.clear()
                 return False
-        return center is None or bool(nbr[center])
+        return center is None or bool(nbr.get(center))
 
     def drop(self, vertices: List[int]) -> bool:
         """Remove ``vertices`` with their edges and resume the peel."""

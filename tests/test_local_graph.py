@@ -10,6 +10,7 @@ import itertools
 import math
 import random
 
+import networkx as nx
 import pandas as pd
 import pytest
 
@@ -20,7 +21,7 @@ from repro.core.precompute import NO_EDGE_SUPPORT, Precomputed, z_index
 from repro.core.topl import Query, brute_force_topl, refine, topl_icde
 from repro.experiments import params as P
 from repro.graph import generators as gen
-from repro.graph.local import LocalGraph
+from repro.graph.local import LocalGraph, _Peel
 
 
 def make_local(und_edges, n=None, keywords=None, weights=None) -> LocalGraph:
@@ -352,6 +353,20 @@ class TestInfluence:
         for d in (1, 10, 750, n - 1):
             assert got[d] == pytest.approx(0.999**d, rel=1e-9)
 
+    def test_sigma_does_not_depend_on_seed_order(self, local_medium):
+        """σ of one vertex set is the same float whichever order its
+        frozenset was built in: the σ memo keys on the set, so the float
+        must not follow the set's iteration order. Each vertex's 2-hop ball
+        is built sorted and reverse-sorted."""
+        g = fresh(local_medium)
+        reordered = 0
+        for v in sorted(g.adj):
+            ball = sorted(g.khop(v, 2))
+            up, down = frozenset(ball), frozenset(reversed(ball))
+            reordered += list(up) != list(down)
+            assert g.sigma(up, 0.1) == g.sigma(down, 0.1), v
+        assert reordered, "no ball iterated in another order"
+
     def test_returned_dict_is_the_callers(self, local_small):
         """Mutating a result does not reach the memo or a later call."""
         g = fresh(local_small)
@@ -502,6 +517,26 @@ class TestSeedCommunity:
         assert g.seed_community(0, 2, 4, {"kw0"}) == frozenset({0, 1, 2, 3})
         assert g.seed_community(0, 3, 4, {"kw0"}) == frozenset(range(9))
 
+    def test_core_cut_removes_the_center(self, peels):
+        """K4 on 0..3 plus vertex 4 adjacent to 0 and 1, at k = 4: 4 has
+        degree 2 ≤ k−2, so the (k−1)-core cut of the ball peel removes it
+        before any support is counted, and the full graph extracts None at
+        4, as the plain fixpoint does. At center 0 the cut removes 4 and
+        support is counted on the K4's six edges only."""
+        g = make_local(K4_EDGES + [(0, 4), (1, 4)])
+        q = {"kw0"}
+        assert g.seed_community(4, 2, 4, q) is None
+        assert peels == [4]
+        assert reference_seed_community(g, 4, 2, 4, q) is None
+        peel = _Peel(g._nbr(set(range(5))), 4, 4)
+        assert peel.sup == {} and 4 not in peel.nbr
+        assert peel.run() is False
+        peel = _Peel(g._nbr(set(range(5))), 4, 0)
+        assert len(peel.sup) == 6 and set(peel.nbr) == set(range(4))
+        assert peel.run() is True
+        assert g.seed_community(0, 2, 4, q) == frozenset(range(4))
+        assert reference_seed_community(g, 0, 2, 4, q) == frozenset(range(4))
+
     def test_fixpoint_stability(self, local_medium):
         """Running extraction on its own result returns the same set."""
         q = {"kw0", "kw1", "kw2", "kw3", "kw4"}
@@ -518,6 +553,10 @@ class TestKeywordTruss:
     """The view T_k(G_Q) extracts exactly what the full graph extracts."""
 
     def test_view_matches_full_graph(self, generated_graphs, peels):
+        """The view's edges are T_k(G_Q) as the peel of G_Q and as
+        ``networkx.k_truss`` (an implementation of its own) compute it, at
+        every k in 2..6, and extraction on the view equals extraction on
+        the full graph."""
         rng = random.Random(29)
         for g in generated_graphs:
             vocab = sorted({w for kws in g.keywords.values() for w in kws})
@@ -530,6 +569,11 @@ class TestKeywordTruss:
                 vq = {v for v in g.adj if g.keywords[v] & query}
                 _, want_edges = g.ktruss(vq, k)
                 assert set(view.undirected_edges()) == want_edges
+                gq = nx.Graph((u, v) for u in vq for v in g.adj[u] & vq)
+                for kk in range(2, 7):
+                    want = {(min(e), max(e)) for e in nx.k_truss(gq, kk).edges}
+                    got = set(g.keyword_truss(query, kk).undirected_edges())
+                    assert got == want, (query, kk)
                 assert view.out is g.out and view.keywords is g.keywords
                 for center in g.vertices():
                     got = g.seed_community(center, r, k, query)
@@ -641,6 +685,42 @@ class TestKeywordTruss:
             assert view.seed_community(center, 2, 3, {"kw1"}) is None
         assert view.seed_community(0, 2, 3, {"kw1"}) == frozenset(range(4))
         assert g.seed_community(0, 2, 3, {"kw1"}) == frozenset(range(4))
+
+    def test_views_share_every_memo(self, local_medium):
+        """Every ``init=True`` memo field of a snapshot (the fields outside
+        ``==``) is the very object its keyword truss views hold, so what
+        one query fills serves the next, whichever graph it asks."""
+        g = fresh(local_medium)
+        memos = [
+            f.name for f in dataclasses.fields(LocalGraph) if f.init and not f.compare
+        ]
+        assert {
+            "_arbo", "sigma_memo", "cpp_memo", "_positions", "_holders", "_trusses"
+        } <= set(memos)
+        for query, k in (({"kw0", "kw1"}, 3), ({"kw2", "kw3", "kw4"}, 4)):
+            view = g.keyword_truss(query, k)
+            for name in memos:
+                assert getattr(view, name) is getattr(g, name), name
+
+    def test_graph_truss_peeled_once_per_k(self, local_medium, peels):
+        """T_k(G) is peeled on the first view at k and read by every later
+        one: a first view at k builds two peels (T_k(G), then T_k(G_Q)
+        inside it), a later view one. The kept T_k(G) is the graph's
+        maximal k-truss."""
+        g = fresh(local_medium)
+        rng = random.Random(67)
+        vocab = sorted({w for kws in g.keywords.values() for w in kws})
+        asked = set()
+        for k in (3, 4, 3, 5, 4, 3, 5):
+            peels.clear()
+            g.keyword_truss(set(rng.sample(vocab, rng.randint(2, 6))), k)
+            assert peels == [None] if k in asked else [None, None], k
+            asked.add(k)
+        assert set(g._trusses) == asked
+        for k in asked:
+            truss = g._trusses[k]
+            edges = {(u, v) for u, nu in truss.items() for v in nu if u < v}
+            assert (set(truss), edges) == g.ktruss(set(g.adj), k), k
 
     def test_holding_equals_the_keyword_scan(self, generated_graphs):
         """V_Q read from the keyword map is the scan over every vertex,
