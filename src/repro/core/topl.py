@@ -13,10 +13,14 @@ The support family (Lemmas 2/6) is tested at the leaves only, and exactly:
 the query's keyword k-truss T_k(G_Q) is peeled once per query
 (:meth:`LocalGraph.keyword_truss`), a center with no edge in it is charged
 to ``PruningStats.support``, and the others extract their communities on
-its edges (DESIGN.md §4). A center of
-T_k(G_Q) is keyed by min(σ_z(hop(v, r)), σ(C, θ)), where C is its
-component of T_k(G_Q): every seed community at the center lies in C, and σ
-is monotone in the seed set (DESIGN.md §3, "Component σ bound").
+its edges (DESIGN.md §4). A center v of
+T_k(G_Q) is keyed by min(σ_z(hop(v, r)), σ(C, θ), σ(B, θ)), where C is its
+component of T_k(G_Q) and B its depth-r ball in T_k(G), the graph's own
+k-truss: every seed community at the center lies in C and in B, and σ is
+monotone in the seed set (DESIGN.md §3, "Component σ bound" and
+"Truss-ball σ bound"). B does not depend on Q, so σ(B, θ) is kept on the
+snapshot per (k, r, θ) (``LocalGraph.ball_memo``) and serves every later
+query.
 
 The traversal terminates early as soon as the popped key cannot beat the
 current top-L floor σ_L (heap order ⇒ nothing later can either).
@@ -25,7 +29,7 @@ current top-L floor σ_L (heap order ⇒ nothing later can either).
 ranking rule of every online path: this traversal, the brute-force
 reference, the ATindex baseline and the dataflow variant. ``refine`` scores
 each distinct (g, θ) once per snapshot through ``LocalGraph.sigma_memo``
-(:func:`score`, which the component bound reads too), and keeps no
+(:func:`score`, which both leaf bounds read too), and keeps no
 influenced community. TopL ranks by σ alone, so an answer's influenced
 community (``Community.rows``) is computed only when something reads it:
 DTopL's diversity score does (Eq. 6). The first read of a (g, θ) stores it
@@ -183,10 +187,11 @@ def topl_icde(
 
     ``use_*`` flags switch individual pruning rules off for the ablation
     study (Fig. 4); with ``use_score=False`` the heap early-termination is
-    disabled too (it is the same Lemma 7 bound), and so is the component σ
-    bound. With ``use_support=False`` there is no keyword truss view, and
-    every leaf entry that passes the other tests is refined when the heap
-    pops it, as with the default flags.
+    disabled too (it is the same Lemma 7 bound), and so are the component
+    and truss-ball σ bounds. With ``use_support=False`` there is no keyword
+    truss view, hence neither leaf bound, and every leaf entry that passes
+    the other tests is refined when the heap pops it, as with the default
+    flags. Either flag off leaves ``ball_memo`` untouched.
     """
     if not (1 <= query.r <= len(index.sigma)):
         raise ValueError(f"query radius {query.r} outside precomputed [1, {len(index.sigma)}]")
@@ -206,6 +211,13 @@ def topl_icde(
     # σ(C, θ) of the components met so far: one σ memo read per component,
     # not one per center
     bounds: Dict[FrozenSet[int], float] = {}
+    # σ(B, θ) of each center's depth-r ball B in T_k(G), which no query
+    # keyword enters: one dict per (k, r, θ), kept on the snapshot
+    balls = (
+        view.ball_memo.setdefault((query.k, query.r, query.theta), {})
+        if use_support and use_score
+        else None
+    )
     heap: List[tuple] = [(-index.sigma[ri][z], next(tiebreak), index)]
     while heap:
         neg_key, _, item = heapq.heappop(heap)
@@ -235,12 +247,19 @@ def topl_icde(
             member = leaf and use_support and child.vertex in view.adj
             if member and use_score:
                 # every seed community at the center lies in its component
-                # C of T_k(G_Q), so σ(C, θ) bounds it too (DESIGN.md §3)
-                whole = view.component(child.vertex)
+                # C of T_k(G_Q) and in its ball B of T_k(G), so σ(C, θ) and
+                # σ(B, θ) bound it too (DESIGN.md §3)
+                v = child.vertex
+                whole = view.component(v)
                 bound = bounds.get(whole)
                 if bound is None:
                     bound = bounds[whole] = score(view, whole, query.theta)
-                key = min(key, bound)
+                ball = balls.get(v)
+                if ball is None:
+                    ball = balls[v] = score(
+                        view, view.truss_ball(v, query.k, query.r), query.theta
+                    )
+                key = min(key, bound, ball)
             # Lemma 1/5 on the centers' own bit vectors (the center must be
             # in g, Def. 2). Every hop holds its center, so the test on the
             # hop's bit vector would never prune more. A center of T_k(G_Q)

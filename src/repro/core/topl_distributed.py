@@ -17,7 +17,7 @@ needed.
 """
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Iterator, List
 
 import pandas as pd
@@ -74,10 +74,13 @@ def topl_icde_spark(
         [sig, "vertex"], ascending=[False, True]
     )
 
-    # without the influence, σ and cpp memos: executors rebuild what they
-    # need, and a warm memo is many times the size of the graph
+    # without any memo (every field outside ``==``): executors rebuild what
+    # they need, and a warm memo is many times the size of the graph
     local_bc = spark.sparkContext.broadcast(
-        replace(local, _arbo={}, sigma_memo={}, cpp_memo={})
+        replace(
+            local,
+            **{f.name: f.default_factory() for f in fields(local) if f.init and not f.compare},
+        )
     )
     try:
         results: List[Community] = []

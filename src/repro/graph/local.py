@@ -39,6 +39,12 @@ map (:meth:`LocalGraph.influenced`), the one source of every answer's
 influenced community. Only a read of an answer's ``Community.rows`` fills
 it (DTopL's selection and D(S) read them), never scoring, so TopL leaves
 it empty.
+
+``ball_memo`` keeps, per (k, r, θ), σ(B, θ) of each center's depth-r ball
+B in T_k(G) (:meth:`LocalGraph.truss_ball`), which holds every seed
+community at the center whatever the query keywords, so it bounds them
+all; :func:`repro.core.topl.topl_icde` keys the centers of T_k(G_Q) with it
+(DESIGN.md §3, "Truss-ball σ bound").
 """
 from __future__ import annotations
 
@@ -85,7 +91,11 @@ class _Peeled(NamedTuple):
 
 @dataclass
 class LocalGraph:
-    """Adjacency snapshot of a :class:`~repro.graph.types.SocialGraph`."""
+    """Adjacency snapshot of a :class:`~repro.graph.types.SocialGraph`.
+
+    The first four fields are the graph; every field outside ``==``
+    (``compare=False``) is a memo, or a view's record of its peel.
+    """
 
     #: symmetric structural adjacency: v -> set of neighbours
     adj: Dict[int, Set[int]]
@@ -132,9 +142,18 @@ class LocalGraph:
         default_factory=dict, repr=False, compare=False
     )
     #: k -> the neighbour map of T_k(G), the full graph's maximal k-truss,
-    #: peeled by the first :meth:`keyword_truss` call at k; ``init=True``
-    #: for the same sharing as ``_arbo``.
+    #: peeled by the first :meth:`truss` call at k; ``init=True`` for the
+    #: same sharing as ``_arbo``.
     _trusses: Dict[int, Dict[int, Set[int]]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    #: (k, r, θ) -> center -> σ(B_r(center), θ), where B_r(center) is the
+    #: center's depth-r ball in T_k(G) (:meth:`truss_ball`), which holds
+    #: every seed community at the center; read and filled by
+    #: :func:`repro.core.topl.topl_icde`, its σ read through ``sigma_memo``.
+    #: No query keyword enters it, so queries that differ in Q share it.
+    #: ``init=True`` for the same sharing as ``_arbo``.
+    ball_memo: Dict[Tuple[int, int, float], Dict[int, float]] = field(
         default_factory=dict, repr=False, compare=False
     )
     #: how a :meth:`keyword_truss` view was peeled. ``init=False``:
@@ -294,11 +313,7 @@ class LocalGraph:
         test, and returns a component without peeling when its candidate
         BFS covers one.
         """
-        within = None
-        if self._view is None:
-            within = self._trusses.get(k)
-            if within is None:
-                within = self._trusses[k] = self._truss_nbr(set(self.adj), k)
+        within = self.truss(k) if self._view is None else None
         nbr = self._truss_nbr(self.holding(query), k, within)
         components: Dict[int, FrozenSet[int]] = {}
         for v in nbr:
@@ -314,6 +329,26 @@ class LocalGraph:
         view = replace(self, adj=nbr)
         view._view = _Peeled(self.snapshot, frozenset(query), k, components)
         return view
+
+    def truss(self, k: int) -> Dict[int, Set[int]]:
+        """Neighbour map of T_k(G), the full graph's maximal k-truss, peeled
+        on the first call at k and kept in ``_trusses``, which the views
+        share."""
+        nbr = self._trusses.get(k)
+        if nbr is None:
+            snap = self.snapshot
+            nbr = self._trusses[k] = snap._truss_nbr(set(snap.adj), k)
+        return nbr
+
+    def truss_ball(self, center: int, k: int, r: int) -> FrozenSet[int]:
+        """B_r(center): the vertices within r hops of ``center``, a vertex
+        of T_k(G), over the edges of T_k(G).
+
+        Every seed community g at the center for any Q at this k is a
+        connected k-truss subgraph of G, so its edges lie in T_k(G), and it
+        has radius ≤ r over its own edges, so g ⊆ B_r(center).
+        """
+        return frozenset(_ball(self.truss(k), center, r))
 
     def component(self, v: int) -> FrozenSet[int]:
         """On a :meth:`keyword_truss` view: ``v``'s connected component of
@@ -397,16 +432,7 @@ class LocalGraph:
         if not peel.run():
             return None
         while True:
-            reached = {center}
-            frontier = [center]
-            for _ in range(r):
-                nxt = []
-                for u in frontier:
-                    for v in nbr[u]:
-                        if v not in reached:
-                            reached.add(v)
-                            nxt.append(v)
-                frontier = nxt
+            reached = _ball(nbr, center, r)
             if len(reached) == len(nbr):
                 return frozenset(reached)
             if not peel.drop([v for v in nbr if v not in reached]):
@@ -526,6 +552,22 @@ class LocalGraph:
         their order; a fresh dict on every call."""
         pos, val = rows
         return dict(zip(map(self._order.__getitem__, pos.tolist()), val.tolist()))
+
+
+def _ball(nbr: Dict[int, Set[int]], center: int, r: int) -> Set[int]:
+    """The vertices within r hops of ``center`` over the neighbour map
+    ``nbr``."""
+    reached = {center}
+    frontier = [center]
+    for _ in range(r):
+        nxt = []
+        for u in frontier:
+            for v in nbr[u]:
+                if v not in reached:
+                    reached.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    return reached
 
 
 def _cut_core(nbr: Dict[int, Set[int]], k: int) -> None:

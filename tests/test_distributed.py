@@ -2,10 +2,13 @@
 must return exactly the same communities as driver-side Algorithm 3."""
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.topl import Query, topl_icde
 from repro.core.topl_distributed import topl_icde_spark
+from repro.graph.local import LocalGraph
 
 
 def q_default(**overrides):
@@ -67,12 +70,17 @@ def test_batch_size_below_one_raises(spark, prepared_small, batch_size):
 
 def test_broadcast_holds_no_influence_memo(spark, prepared_small, monkeypatch):
     """A warm driver memo is not shipped: the broadcast snapshot is the same
-    graph with an empty ``_arbo``, ``sigma_memo`` and ``cpp_memo``, and the
-    answers are unchanged."""
+    graph with every field outside ``==`` (every memo of ``LocalGraph``,
+    listed from its declared fields, so a later memo is covered too)
+    emptied, the driver keeps its memos, and the answers are unchanged."""
     local, q = prepared_small.local, q_default()
     want = topl_icde(local, prepared_small.index, q, prepared_small.pre.thetas)
     assert [c.cpp for c in want]
-    assert local._arbo and local.sigma_memo and local.cpp_memo
+    memos = [f.name for f in dataclasses.fields(LocalGraph) if not f.compare]
+    assert {"_arbo", "sigma_memo", "cpp_memo", "ball_memo", "_trusses"} <= set(memos)
+    # a field ``replace`` copies, and so would ship, holds something on the driver
+    warm = [f.name for f in dataclasses.fields(LocalGraph) if f.init and not f.compare]
+    assert all(getattr(local, name) for name in warm), warm
     sc = spark.sparkContext
     shipped, broadcast = [], sc.broadcast
 
@@ -82,8 +90,9 @@ def test_broadcast_holds_no_influence_memo(spark, prepared_small, monkeypatch):
 
     monkeypatch.setattr(sc, "broadcast", recording)
     got = topl_icde_spark(spark, prepared_small.pre, local, q)
-    assert [(g._arbo, g.sigma_memo, g.cpp_memo) for g in shipped] == [({}, {}, {})]
+    assert len(shipped) == 1
+    assert {name: getattr(shipped[0], name) for name in memos if getattr(shipped[0], name)} == {}
     assert shipped[0] == local
-    assert local._arbo and local.sigma_memo and local.cpp_memo
+    assert all(getattr(local, name) for name in warm), warm
     assert [round(c.sigma, 6) for c in got] == [round(c.sigma, 6) for c in want]
     assert {c.vertices for c in got} == {c.vertices for c in want}

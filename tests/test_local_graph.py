@@ -957,3 +957,158 @@ class TestComponentBound:
                     fires += pruned and not prune(loose, sigma_l)
                     misses += not pruned and key < loose
             assert fires and misses, (fires, misses)
+
+
+class TestTrussBallBound:
+    """σ(B, θ) of a center's depth-r ball B in T_k(G) bounds the σ of every
+    seed community at the center, whatever Q, and ``topl_icde`` prunes with
+    it from a memo kept per (k, r, θ) on the snapshot."""
+
+    THETAS = TestComponentBound.THETAS
+
+    def test_ball_holds_and_bounds_every_seed_community(self, generated_graphs):
+        """The ball is the depth-r ego graph of ``networkx.k_truss`` (an
+        implementation of its own). Every seed community at every center of
+        T_k(G_Q) lies in it, and its σ, read through the σ memo as
+        ``refine`` reads it, does not exceed the ball's."""
+        rng = random.Random(53)
+        for g in generated_graphs:
+            g = fresh(g)
+            whole = nx.Graph(g.undirected_edges())
+            vocab = sorted({w for kws in g.keywords.values() for w in kws})
+            checked = proper = 0
+            for k in range(2, 7):
+                truss = nx.k_truss(whole, k)
+                for _ in range(2):
+                    query = set(rng.sample(vocab, rng.randint(1, 6)))
+                    r, theta = rng.randint(1, 3), rng.choice(self.THETAS)
+                    view = g.keyword_truss(query, k)
+                    for center in view.adj:
+                        ball = g.truss_ball(center, k, r)
+                        assert ball == set(nx.ego_graph(truss, center, radius=r)), (
+                            center, k, r,
+                        )
+                        comm = g.seed_community(center, r, k, query)
+                        if comm is None:
+                            continue
+                        assert comm <= ball, (center, r, k, query)
+                        bound = topl_module.score(g, ball, theta)
+                        assert bound >= topl_module.score(g, comm, theta), (
+                            center, r, k, query,
+                        )
+                        checked += 1
+                        proper += comm < ball
+            assert checked and proper, (checked, proper)
+
+    def test_ball_bound_prunes_in_topl_icde(self, generated_graphs, monkeypatch):
+        """Per graph, the ball bound prunes some center of T_k(G_Q) that
+        σ_z(hop(v, r)) and σ(C, θ) alone keep: a center keyed above the
+        final σ_L that is never refined, cut by the Lemma 4 test or the
+        Lemma 7 stop, is refined when every ball is widened to the whole
+        view, which holds C. Every key tested on a center is the least of
+        the three bounds, the ball's read from the memo, and the σ lists
+        are brute force's."""
+        decisions = []  # (vertex, key tested)
+        pending, refined = [], []
+        component, prune, refine_ = LocalGraph.component, topl_module.score_prune, refine
+
+        def recording_component(self, v):
+            pending.append(v)
+            return component(self, v)
+
+        def recording_prune(key, sigma_l):
+            if pending:
+                decisions.append((pending.pop(), key))
+            return prune(key, sigma_l)
+
+        def recording_refine(local, center, query, seen):
+            refined.append(center)
+            return refine_(local, center, query, seen)
+
+        monkeypatch.setattr(LocalGraph, "component", recording_component)
+        monkeypatch.setattr(topl_module, "score_prune", recording_prune)
+        monkeypatch.setattr(topl_module, "refine", recording_refine)
+        rng = random.Random(59)
+        for g in generated_graphs:
+            g = fresh(g)
+            index, sigma_z = driver_index(g)
+            vocab = sorted({w for kws in g.keywords.values() for w in kws})
+            fires = 0
+            for _ in range(20):
+                q = Query(
+                    keywords=frozenset(rng.sample(vocab, rng.randint(2, 6))),
+                    k=rng.randint(2, 5), r=rng.randint(1, 3),
+                    theta=rng.choice(self.THETAS), L=rng.randint(1, 10),
+                )
+                decisions.clear(), refined.clear()
+                got = topl_icde(g, index, q, P.THETAS)
+                kept = set(refined)
+                sigma_l = got[-1].sigma if len(got) == q.L else -math.inf
+                view = g.keyword_truss(q.keywords, q.k)
+                balls = g.ball_memo[q.k, q.r, q.theta]
+                z = z_index(P.THETAS, q.theta)
+                cut = set()
+                for v, key in decisions:
+                    loose = min(
+                        sigma_z[v, q.r][z], topl_module.score(g, component(view, v), q.theta)
+                    )
+                    assert key == min(loose, balls[v])
+                    if loose > sigma_l and v not in kept:
+                        cut.add(v)
+                with monkeypatch.context() as m:
+                    m.setattr(LocalGraph, "truss_ball", lambda self, v, k, r: frozenset(self.adj))
+                    refined.clear()
+                    loose_only = topl_icde(fresh(g), index, q, P.THETAS)
+                assert cut <= set(refined), q
+                assert [c.sigma for c in loose_only] == [c.sigma for c in got], q
+                assert [c.sigma for c in got] == [c.sigma for c in brute_force_topl(g, q)], q
+                fires += len(cut)
+            assert fires, "the ball bound never pruned a center the others keep"
+
+    QUERY = Query(keywords=frozenset({"kw0", "kw1", "kw2", "kw3", "kw4"}), k=3, r=2, theta=0.2, L=5)
+
+    def test_memo_is_shared_and_each_ball_built_once(self, local_small, monkeypatch):
+        """Two queries that differ only in Q, at one (k, r, θ): each center's
+        ball is built once, and the second query reads balls the first
+        built. The memo holds σ(B, θ) as the σ memo holds it, and the views
+        share it with the snapshot."""
+        g = fresh(local_small)
+        index, _ = driver_index(g)
+        built, keyed = [], []
+        ball, component = LocalGraph.truss_ball, LocalGraph.component
+
+        def counting_ball(self, center, k, r):
+            built.append(center)
+            return ball(self, center, k, r)
+
+        def recording_component(self, v):
+            keyed.append(v)
+            return component(self, v)
+
+        monkeypatch.setattr(LocalGraph, "truss_ball", counting_ball)
+        monkeypatch.setattr(LocalGraph, "component", recording_component)
+        q = self.QUERY
+        other = dataclasses.replace(q, keywords=frozenset({"kw2", "kw3", "kw4", "kw5", "kw6"}))
+        at = (q.k, q.r, q.theta)
+        topl_icde(g, index, q, P.THETAS)
+        first = set(g.ball_memo[at])
+        assert built and sorted(built) == sorted(first) == sorted(set(keyed))
+        built.clear(), keyed.clear()
+        topl_icde(g, index, other, P.THETAS)
+        assert not first & set(built), "a ball was built twice"
+        assert first & set(keyed), "the second query read no ball the first built"
+        assert set(g.ball_memo[at]) == first | set(built)
+        assert list(g.ball_memo) == [at]
+        for v, sigma in g.ball_memo[at].items():
+            assert g.sigma_memo[ball(g, v, q.k, q.r), q.theta] == sigma
+        for query in (q, other):
+            assert g.keyword_truss(query.keywords, q.k).ball_memo is g.ball_memo
+
+    @pytest.mark.parametrize("flags", [dict(use_support=False), dict(use_score=False)])
+    def test_memo_stays_empty_without_the_bound(self, local_small, flags):
+        """The bound is active exactly where the component bound is: with
+        the keyword truss view and the score family on."""
+        g = fresh(local_small)
+        index, _ = driver_index(g)
+        assert topl_icde(g, index, self.QUERY, P.THETAS, **flags)
+        assert g.ball_memo == {}
