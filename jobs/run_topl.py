@@ -1,7 +1,7 @@
 """Run one TopL-ICDE query end to end and print the answer communities.
 
     spark-submit jobs/run_topl.py [--k 4] [--r 2] [--theta 0.2] [--L 5]
-                                  [--qseed 0] [--distributed]
+                                  [--qseed 0]
 """
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import argparse
 from _session import get_spark, print_rows
 
 from repro.core.topl import topl_icde
-from repro.core.topl_distributed import topl_icde_spark
 from repro.experiments.datasets import prepare
 from repro.experiments.runner import make_query
 
@@ -25,16 +24,11 @@ def main() -> None:
     ap.add_argument("--theta", type=float, default=0.2)
     ap.add_argument("--L", type=int, default=5)
     ap.add_argument("--qseed", type=int, default=0)
-    ap.add_argument("--distributed", action="store_true",
-                    help="use the mapInPandas dataflow path")
     args = ap.parse_args()
     spark = get_spark("run_topl")
     prep = prepare(spark, kind=args.kind, n=args.n, dist=args.dist)
     q = make_query(k=args.k, r=args.r, theta=args.theta, L=args.L, qseed=args.qseed)
-    if args.distributed:
-        res = topl_icde_spark(spark, prep.pre, prep.local, q)
-    else:
-        res = topl_icde(prep.local, prep.index, q, prep.pre.thetas)
+    res = topl_icde(prep.local, prep.index, q, prep.pre.thetas)
     print_rows(
         f"top-{args.L} communities (query keywords: {sorted(q.keywords)})",
         [

@@ -11,16 +11,18 @@ a child that passes them all is pushed.
 
 The support family (Lemmas 2/6) is tested at the leaves only, and exactly:
 the query's keyword k-truss T_k(G_Q) is peeled once per query
-(:meth:`LocalGraph.keyword_truss`), a center with no edge in it is charged
-to ``PruningStats.support``, and the others extract their communities on
-its edges (DESIGN.md §4). A center v of
-T_k(G_Q) is keyed by min(σ_z(hop(v, r)), σ(C, θ), σ(B, θ)), where C is its
-component of T_k(G_Q) and B its depth-r ball in T_k(G), the graph's own
-k-truss: every seed community at the center lies in C and in B, and σ is
-monotone in the seed set (DESIGN.md §3, "Component σ bound" and
-"Truss-ball σ bound"). B does not depend on Q, so σ(B, θ) is kept on the
-snapshot per (k, r, θ) (``LocalGraph.ball_memo``) and serves every later
-query.
+(:meth:`LocalGraph.keyword_truss`, a :class:`~repro.graph.local.KeywordTruss`
+record), a center with no edge in it is charged to
+``PruningStats.support``, and the others extract their communities on its
+edges, :func:`refine` handing the record to ``seed_community`` (DESIGN.md
+§4). A center v of T_k(G_Q) is keyed by min(σ(C, θ), σ(B, θ)), where C is
+its component of T_k(G_Q) and B its depth-r ball in T_k(G), the graph's
+own k-truss: every seed community at the center lies in C and in B, and σ
+is monotone in the seed set (DESIGN.md §3, "Component σ bound" and
+"Truss-ball σ bound"). σ(B, θ) ≤ σ_z(hop(v, r)), since B ⊆ hop(v, r) and
+θ_z ≤ θ, so σ_z is left out of the key. B does not depend on Q, so
+σ(B, θ) is kept on the snapshot per (k, r, θ) (``LocalGraph.ball_memo``)
+and serves every later query.
 
 The traversal terminates early as soon as the popped key cannot beat the
 current top-L floor σ_L (heap order ⇒ nothing later can either).
@@ -48,7 +50,7 @@ from repro.core.index import IndexNode
 from repro.core.keywords import bv_of
 from repro.core.precompute import z_index
 from repro.core.pruning import PruningStats, keyword_prune, score_prune
-from repro.graph.local import LocalGraph, Rows
+from repro.graph.local import KeywordTruss, LocalGraph, Rows
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,7 @@ class Query:
 @dataclass(frozen=True, init=False)
 class Community:
     """A seed community answer: its center, vertex set g and σ(g, θ), with
-    the full snapshot and θ it was scored at.
+    the snapshot and θ it was scored at.
 
     :attr:`rows` and :attr:`cpp` are the influenced community, read from the
     snapshot's ``cpp_memo``. ``repr``, ``==`` and ``hash`` cover center,
@@ -87,8 +89,6 @@ class Community:
     center: int
     vertices: FrozenSet[int]
     sigma: float
-    #: the full snapshot, never a keyword truss view, so that an answer does
-    #: not keep the per-query view alive
     graph: Optional[LocalGraph] = field(default=None, repr=False, compare=False)
     theta: Optional[float] = field(default=None, repr=False, compare=False)
 
@@ -106,8 +106,7 @@ class Community:
         # makes one call per field, about twice the cost, and a query
         # builds tens of communities
         self.__dict__.update(
-            center=center, vertices=vertices, sigma=sigma,
-            graph=None if graph is None else graph.snapshot, theta=theta,
+            center=center, vertices=vertices, sigma=sigma, graph=graph, theta=theta
         )
 
     @property
@@ -129,7 +128,11 @@ class Community:
 
 
 def refine(
-    local: LocalGraph, center: int, query: Query, seen: Set[FrozenSet[int]]
+    local: LocalGraph,
+    center: int,
+    query: Query,
+    seen: Set[FrozenSet[int]],
+    truss: Optional[KeywordTruss] = None,
 ) -> Optional[Community]:
     """Refine one candidate center: its maximal seed community, scored.
 
@@ -137,9 +140,10 @@ def refine(
     community's vertex set is already in ``seen``; otherwise adds it to
     ``seen`` and returns it with σ (Eq. 5). The ``seen`` check runs before
     scoring because many centers of one community extract the same vertex
-    set. σ is read through :func:`score`.
+    set. σ is read through :func:`score`. ``truss``, the query's keyword
+    truss, is handed to :meth:`LocalGraph.seed_community`.
     """
-    g = local.seed_community(center, query.r, query.k, query.keywords)
+    g = local.seed_community(center, query.r, query.k, query.keywords, truss)
     if g is None or g in seen:
         return None
     seen.add(g)
@@ -189,7 +193,7 @@ def topl_icde(
     study (Fig. 4); with ``use_score=False`` the heap early-termination is
     disabled too (it is the same Lemma 7 bound), and so are the component
     and truss-ball σ bounds. With ``use_support=False`` there is no keyword
-    truss view, hence neither leaf bound, and every leaf entry that passes
+    truss, hence neither leaf bound, and every leaf entry that passes
     the other tests is refined when the heap pops it, as with the default
     flags. Either flag off leaves ``ball_memo`` untouched.
     """
@@ -207,14 +211,14 @@ def topl_icde(
 
     # Lemma 2 at the leaves: every seed community lies in T_k(G_Q), so a
     # center outside it hosts none, and the rest extract on its edges.
-    view = local.keyword_truss(query.keywords, query.k) if use_support else local
+    truss = local.keyword_truss(query.keywords, query.k) if use_support else None
     # σ(C, θ) of the components met so far: one σ memo read per component,
     # not one per center
     bounds: Dict[FrozenSet[int], float] = {}
     # σ(B, θ) of each center's depth-r ball B in T_k(G), which no query
     # keyword enters: one dict per (k, r, θ), kept on the snapshot
     balls = (
-        view.ball_memo.setdefault((query.k, query.r, query.theta), {})
+        local.ball_memo.setdefault((query.k, query.r, query.theta), {})
         if use_support and use_score
         else None
     )
@@ -233,7 +237,7 @@ def topl_icde(
             break
         if not is_node:
             stats.refined += 1
-            comm = refine(view, item.vertex, query, seen)
+            comm = refine(local, item.vertex, query, seen, truss)
             if comm is None:
                 continue
             if len(results) < query.L:
@@ -243,23 +247,25 @@ def topl_icde(
             continue
         leaf = item.is_leaf
         for child in item.entries if leaf else item.children:
-            key = child.sigma[ri][z]
-            member = leaf and use_support and child.vertex in view.adj
+            member = leaf and use_support and child.vertex in truss.adj
             if member and use_score:
                 # every seed community at the center lies in its component
                 # C of T_k(G_Q) and in its ball B of T_k(G), so σ(C, θ) and
-                # σ(B, θ) bound it too (DESIGN.md §3)
+                # σ(B, θ) bound it; σ(B, θ) ≤ σ_z, as B ⊆ hop(v, r) and
+                # θ_z ≤ θ (DESIGN.md §3)
                 v = child.vertex
-                whole = view.component(v)
+                whole = truss.components[v]
                 bound = bounds.get(whole)
                 if bound is None:
-                    bound = bounds[whole] = score(view, whole, query.theta)
+                    bound = bounds[whole] = score(local, whole, query.theta)
                 ball = balls.get(v)
                 if ball is None:
                     ball = balls[v] = score(
-                        view, view.truss_ball(v, query.k, query.r), query.theta
+                        local, local.truss_ball(v, query.k, query.r), query.theta
                     )
-                key = min(key, bound, ball)
+                key = min(bound, ball)
+            else:
+                key = child.sigma[ri][z]
             # Lemma 1/5 on the centers' own bit vectors (the center must be
             # in g, Def. 2). Every hop holds its center, so the test on the
             # hop's bit vector would never prune more. A center of T_k(G_Q)

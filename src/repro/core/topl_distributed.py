@@ -17,7 +17,7 @@ needed.
 """
 from __future__ import annotations
 
-from dataclasses import fields, replace
+from dataclasses import replace
 from typing import Iterator, List
 
 import pandas as pd
@@ -74,14 +74,9 @@ def topl_icde_spark(
         [sig, "vertex"], ascending=[False, True]
     )
 
-    # without any memo (every field outside ``==``): executors rebuild what
-    # they need, and a warm memo is many times the size of the graph
-    local_bc = spark.sparkContext.broadcast(
-        replace(
-            local,
-            **{f.name: f.default_factory() for f in fields(local) if f.init and not f.compare},
-        )
-    )
+    # a copy starts with every memo empty: executors rebuild what they
+    # need, and a warm memo is many times the size of the graph
+    local_bc = spark.sparkContext.broadcast(replace(local))
     try:
         results: List[Community] = []
         for start in range(0, len(ranked), batch_size):

@@ -3,7 +3,7 @@
 Three cumulative combinations, each adding one pruning family:
 (1) keyword only; (2) keyword + support; (3) keyword + support + score
 (score includes the Lemma-7 heap early stop — it is the same bound — and,
-with the support family's keyword truss view, both leaf bounds of a center:
+with the support family's keyword truss, both leaf bounds of a center:
 σ of its component of T_k(G_Q) and σ of its depth-r ball in T_k(G)).
 Reported per combination: candidates pruned (Fig. 4a) and online wall clock
 (Fig. 4b). Paper shape: each added strategy prunes more (score pruning adds

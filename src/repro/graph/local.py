@@ -11,34 +11,35 @@ online phase runs against this collected snapshot, while the *offline* phase
 Everything here is pure Python + stdlib (heapq), deterministic, and sized for
 graphs that fit comfortably on the driver (≤ a few hundred thousand edges).
 Seed-community extraction (where it peels), :meth:`LocalGraph.ktruss`,
-the per-query keyword truss view (:meth:`LocalGraph.keyword_truss`) and
+the per-query keyword truss (:meth:`LocalGraph.keyword_truss`) and
 hence ATindex's edge trussness share one queue-based k-truss peel
 (:class:`_Peel`) that counts support once and updates it as edges leave.
 It first cuts vertices of degree ≤ k-2, cascading (the (k-1)-core cut,
 the routine :meth:`LocalGraph.kcore` runs too): a vertex with an edge in a
 k-truss has that edge's other end and its k-2 common neighbours there, so
-no vertex cut had one. The keyword truss view peels from T_k(G), the full
-graph's own k-truss restricted to V_Q, peeled once per k and shared with
-the views: T_k(G_Q) is a k-truss subgraph of G, so it lies in T_k(G).
+no vertex cut had one. The keyword truss peels from T_k(G), the full
+graph's own k-truss restricted to V_Q, peeled once per k and kept on the
+snapshot: T_k(G_Q) is a k-truss subgraph of G, so it lies in T_k(G).
 Influence (:meth:`LocalGraph.influence`) merges per-source maximum
 influence out-arborescences, each built once by a max-product Dijkstra and
-memoised on the graph (shared with its keyword truss views), so communities
-that share seed vertices, within a query or across queries, reuse them.
+memoised on the snapshot, so communities that share seed vertices, within
+a query or across queries, reuse them.
 
-Each distinct community is scored once (DESIGN.md §3): a keyword truss view
-records its (Q, k) and connected components, and
-:meth:`LocalGraph.seed_community` on it returns a center's component
-outright when the depth-r ball covers it, and the ball itself when every
-edge between two vertices at depth r keeps k-2 triangles inside it (the
-ring test), peeling only when both miss; the graph and its views share a
-σ(g, θ) memo (``sigma_memo``) that :func:`repro.core.topl.refine` reads
-before computing influence, and the keyword -> vertices map that gives each
-view its V_Q. They also share ``cpp_memo``: each influenced community read
-so far, as read-only (positions, values) arrays over one vertex -> 0..n-1
-map (:meth:`LocalGraph.influenced`), the one source of every answer's
-influenced community. Only a read of an answer's ``Community.rows`` fills
-it (DTopL's selection and D(S) read them), never scoring, so TopL leaves
-it empty.
+Each distinct community is scored once (DESIGN.md §3): a keyword truss is
+a :class:`KeywordTruss` record of (Q, k), its neighbour map and its
+connected components, and :meth:`LocalGraph.seed_community` given it
+returns a center's component outright when the depth-r ball covers it, and
+the ball itself when every edge between two vertices at depth r keeps k-2
+triangles inside it (the ring test), peeling only when both miss. The
+snapshot owns every memo, each a field with ``init=False``, so a copy or a
+new instance starts empty: a σ(g, θ) memo (``sigma_memo``) that
+:func:`repro.core.topl.refine` reads before computing influence, and the
+keyword -> vertices map that gives each query its V_Q. ``cpp_memo`` keeps
+each influenced community read so far, as read-only (positions, values)
+arrays over one vertex -> 0..n-1 map (:meth:`LocalGraph.influenced`), the
+one source of every answer's influenced community. Only a read of an
+answer's ``Community.rows`` fills it (DTopL's selection and D(S) read
+them), never scoring, so TopL leaves it empty.
 
 ``ball_memo`` keeps, per (k, r, θ), σ(B, θ) of each center's depth-r ball
 B in T_k(G) (:meth:`LocalGraph.truss_ball`), which holds every seed
@@ -50,7 +51,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
@@ -76,17 +77,25 @@ def cpp_rows(cpp: Dict[int, float], at: Dict[int, int]) -> Rows:
     return pos, val
 
 
-class _Peeled(NamedTuple):
-    """What a :meth:`LocalGraph.keyword_truss` view was peeled from."""
+class KeywordTruss(NamedTuple):
+    """T_k(G_Q), as :meth:`LocalGraph.keyword_truss` peels it once per
+    query; :meth:`LocalGraph.seed_community` takes it at the same (Q, k)."""
 
-    #: the full graph (views share its ``out`` and memos)
-    snapshot: "LocalGraph"
     #: the query keywords Q and the k of T_k(G_Q)
     query: FrozenSet[str]
     k: int
+    #: neighbour map of T_k(G_Q): its vertices are the centers with an edge
+    #: in it
+    adj: Dict[int, Set[int]]
     #: vertex -> its connected component, one frozenset shared by the
     #: component's vertices
     components: Dict[int, FrozenSet[int]]
+
+
+def _memo(factory=dict):
+    """A memo field: outside ``==`` and ``repr``, and ``init=False``, so a
+    ``dataclasses.replace`` copy or a new instance starts with it empty."""
+    return field(default_factory=factory, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -94,7 +103,7 @@ class LocalGraph:
     """Adjacency snapshot of a :class:`~repro.graph.types.SocialGraph`.
 
     The first four fields are the graph; every field outside ``==``
-    (``compare=False``) is a memo, or a view's record of its peel.
+    (``compare=False``) is a memo of this snapshot alone.
     """
 
     #: symmetric structural adjacency: v -> set of neighbours
@@ -106,61 +115,36 @@ class LocalGraph:
     #: 64-bit keyword bit vector per vertex
     bv: Dict[int, int]
     #: memo of :meth:`influence`: source -> (lowest θ asked, MIOA(source, θ)
-    #: in preorder). ``init=True`` so that :meth:`keyword_truss`'s views,
-    #: built by ``dataclasses.replace``, share it with this graph.
-    _arbo: Dict[int, Tuple[float, List[Tuple[float, int, int]]]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    #: σ(g, θ) of every community scored on this graph or its views, by
-    #: (vertex set, θ); read and filled by :func:`repro.core.topl.refine`.
-    #: ``init=True`` for the same sharing as ``_arbo``.
-    sigma_memo: Dict[Tuple[FrozenSet[int], float], float] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    #: cpp(g, ·) of every influenced community read on this graph or its
-    #: views, by (vertex set, θ) like ``sigma_memo``, as :func:`cpp_rows`
-    #: over :meth:`positions`; filled by :meth:`influenced` on a
-    #: community's first read, never by scoring. ``init=True`` for the same
-    #: sharing as ``_arbo``.
-    cpp_memo: Dict[Tuple[FrozenSet[int], float], Rows] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    #: vertex -> position 0..n-1 in the full graph, and position -> vertex,
-    #: built by the first :meth:`positions` call; ``init=True`` for the
-    #: same sharing as ``_arbo``.
-    _positions: Dict[int, int] = field(default_factory=dict, repr=False, compare=False)
-    _order: List[int] = field(default_factory=list, repr=False, compare=False)
+    #: in preorder)
+    _arbo: Dict[int, Tuple[float, List[Tuple[float, int, int]]]] = _memo()
+    #: σ(g, θ) of every community scored on this graph, by (vertex set, θ);
+    #: read and filled by :func:`repro.core.topl.refine`
+    sigma_memo: Dict[Tuple[FrozenSet[int], float], float] = _memo()
+    #: cpp(g, ·) of every influenced community read on this graph, by
+    #: (vertex set, θ) like ``sigma_memo``, as :func:`cpp_rows` over
+    #: :meth:`positions`; filled by :meth:`influenced` on a community's
+    #: first read, never by scoring
+    cpp_memo: Dict[Tuple[FrozenSet[int], float], Rows] = _memo()
+    #: vertex -> position 0..n-1, and position -> vertex, built by the
+    #: first :meth:`positions` call
+    _positions: Dict[int, int] = _memo()
+    _order: List[int] = _memo(list)
     #: :attr:`support`, once read. A field, not ``functools.cached_property``:
     #: its write through ``__dict__`` slows every later attribute read on the
     #: instance, ATindex's queries included.
-    _support: Optional[Dict[Tuple[int, int], int]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _support: Dict[Tuple[int, int], int] = _memo()
     #: keyword -> the vertices holding it, built by the first
-    #: :meth:`holding` call; ``init=True`` for the same sharing as ``_arbo``.
-    _holders: Dict[str, Set[int]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    #: :meth:`holding` call
+    _holders: Dict[str, Set[int]] = _memo()
     #: k -> the neighbour map of T_k(G), the full graph's maximal k-truss,
-    #: peeled by the first :meth:`truss` call at k; ``init=True`` for the
-    #: same sharing as ``_arbo``.
-    _trusses: Dict[int, Dict[int, Set[int]]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    #: peeled by the first :meth:`truss` call at k
+    _trusses: Dict[int, Dict[int, Set[int]]] = _memo()
     #: (k, r, θ) -> center -> σ(B_r(center), θ), where B_r(center) is the
     #: center's depth-r ball in T_k(G) (:meth:`truss_ball`), which holds
     #: every seed community at the center; read and filled by
     #: :func:`repro.core.topl.topl_icde`, its σ read through ``sigma_memo``.
     #: No query keyword enters it, so queries that differ in Q share it.
-    #: ``init=True`` for the same sharing as ``_arbo``.
-    ball_memo: Dict[Tuple[int, int, float], Dict[int, float]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    #: how a :meth:`keyword_truss` view was peeled. ``init=False``:
-    #: ``replace`` copies and the full snapshot hold None.
-    _view: Optional["_Peeled"] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    ball_memo: Dict[Tuple[int, int, float], Dict[int, float]] = _memo()
 
     # ------------------------------------------------------------------ build
     @classmethod
@@ -190,33 +174,27 @@ class LocalGraph:
     def undirected_edges(self) -> List[Tuple[int, int]]:
         return [(u, v) for u, nbrs in self.adj.items() for v in nbrs if u < v]
 
-    @property
-    def snapshot(self) -> "LocalGraph":
-        """The full graph: this one, or the one a view was peeled from."""
-        return self if self._view is None else self._view.snapshot
-
     def holding(self, query: Iterable[str]) -> Set[int]:
         """V_Q: the vertices of this graph holding a keyword of ``query``.
 
-        Read from a keyword -> vertices map of the full graph, built on the
-        first call and shared with its views, so a query costs one union
-        over its keywords instead of a scan of every vertex.
+        Read from a keyword -> vertices map, built on the first call, so a
+        query costs one union over its keywords instead of a scan of every
+        vertex.
         """
         holders = self._holders
         if not holders:
             kw = self.keywords
-            for v in self.snapshot.adj:
+            for v in self.adj:
                 for w in kw.get(v, _NO_KEYWORDS):
                     holders.setdefault(w, set()).add(v)
-        vq = set().union(*(holders.get(w, ()) for w in query))
-        return vq if self._view is None else vq & self.adj.keys()
+        return set().union(*(holders.get(w, ()) for w in query))
 
     @property
     def support(self) -> Dict[Tuple[int, int], int]:
         """Edge support in this graph, canonical (u < v): the ``ub_sup(e)``
         behind ``ub_sup_r``. Counted on first read; no online path reads it."""
-        if self._support is None:
-            self._support = self.induced_support(set(self.adj))
+        if not self._support:
+            self._support.update(self.induced_support(set(self.adj)))
         return self._support
 
     # -------------------------------------------------------------------- BFS
@@ -286,35 +264,27 @@ class LocalGraph:
         nbr = self._truss_nbr(vset, k)
         return set(nbr), {(u, v) for u, nu in nbr.items() for v in nu if u < v}
 
-    def keyword_truss(self, query: Set[str], k: int) -> "LocalGraph":
-        """View of T_k(G_Q): the maximal k-truss of the subgraph induced by
-        the vertices holding a query keyword.
+    def keyword_truss(self, query: Iterable[str], k: int) -> KeywordTruss:
+        """T_k(G_Q): the maximal k-truss of the subgraph induced by the
+        vertices holding a query keyword, with its connected components.
 
         The peel starts from T_k(G), the full graph's maximal k-truss,
         restricted to V_Q. T_k(G_Q) is a k-truss subgraph of G, so it lies
         in T_k(G); hence T_k(G_Q) = T_k(T_k(G)[V_Q]), and the edges of G_Q
         outside T_k(G) are never counted. T_k(G) is peeled on the first
-        call at k and kept in ``_trusses``, which the views share. (A view
-        asked for a keyword truss of its own peels its own edges.)
+        call at k and kept in ``_trusses``.
 
         Every seed community of (``query``, k) is a k-truss inside G_Q, so
         its edges all lie in T_k(G_Q); it has radius ≤ r over its own edges,
-        so the depth-r BFS over the view reaches all of it. Hence
-        :meth:`seed_community` on the view returns what it returns on the
-        full graph, and None at every vertex the view lacks. Attributed
+        so the depth-r BFS over T_k(G_Q) reaches all of it. Hence
+        :meth:`seed_community` given the record returns what it returns
+        without it, and None at every vertex T_k(G_Q) lacks. Attributed
         truss community search peels the query's subgraph the same way
-        (Huang & Lakshmanan, VLDB 2017). The view shares ``out``,
-        ``keywords``, ``bv``, the influence memo and the σ memo with this
-        graph, so influence is unchanged and what is built through either
-        serves both.
-
-        The view also records (Q, k) and its connected components:
-        :meth:`seed_community` asked at the same (Q, k) skips the keyword
-        test, and returns a component without peeling when its candidate
-        BFS covers one.
+        (Huang & Lakshmanan, VLDB 2017). Given the record,
+        :meth:`seed_community` skips the keyword test, and returns a
+        component without peeling when its candidate BFS covers one.
         """
-        within = self.truss(k) if self._view is None else None
-        nbr = self._truss_nbr(self.holding(query), k, within)
+        nbr = self._truss_nbr(self.holding(query), k, self.truss(k))
         components: Dict[int, FrozenSet[int]] = {}
         for v in nbr:
             if v not in components:
@@ -326,18 +296,14 @@ class LocalGraph:
                             stack.append(w)
                 whole = frozenset(comp)
                 components.update(dict.fromkeys(whole, whole))
-        view = replace(self, adj=nbr)
-        view._view = _Peeled(self.snapshot, frozenset(query), k, components)
-        return view
+        return KeywordTruss(frozenset(query), k, nbr, components)
 
     def truss(self, k: int) -> Dict[int, Set[int]]:
         """Neighbour map of T_k(G), the full graph's maximal k-truss, peeled
-        on the first call at k and kept in ``_trusses``, which the views
-        share."""
+        on the first call at k and kept in ``_trusses``."""
         nbr = self._trusses.get(k)
         if nbr is None:
-            snap = self.snapshot
-            nbr = self._trusses[k] = snap._truss_nbr(set(snap.adj), k)
+            nbr = self._trusses[k] = self._truss_nbr(set(self.adj), k)
         return nbr
 
     def truss_ball(self, center: int, k: int, r: int) -> FrozenSet[int]:
@@ -350,11 +316,6 @@ class LocalGraph:
         """
         return frozenset(_ball(self.truss(k), center, r))
 
-    def component(self, v: int) -> FrozenSet[int]:
-        """On a :meth:`keyword_truss` view: ``v``'s connected component of
-        T_k(G_Q), which holds every seed community at ``v``."""
-        return self._view.components[v]
-
     # ----------------------------------------------------------------- k-core
     def kcore(self, vset: Set[int], k: int) -> Set[int]:
         """Maximal k-core of the induced subgraph on ``vset`` (case study)."""
@@ -364,7 +325,12 @@ class LocalGraph:
 
     # --------------------------------------------------------- seed community
     def seed_community(
-        self, center: int, r: int, k: int, query: Set[str]
+        self,
+        center: int,
+        r: int,
+        k: int,
+        query: Set[str],
+        truss: Optional[KeywordTruss] = None,
     ) -> Optional[FrozenSet[int]]:
         """Maximal seed community at ``center`` (paper Def. 2), or None.
 
@@ -379,28 +345,35 @@ class LocalGraph:
         every round. None once the center has no edge left (so communities
         without edges are rejected, DESIGN.md §4).
 
-        On a :meth:`keyword_truss` view peeled at this ``k``, a candidate
-        set that covers the center's whole component is returned as that
-        component, with no peel. The component of a k-truss is a k-truss,
-        the BFS reached all of it within depth r over its own edges, and
-        every seed community at the center is connected inside the view,
-        so it is the maximal one. On a view peeled at this (``query``, k),
-        every vertex holds a query keyword, so the keyword test is skipped;
-        and if the candidate set is not a whole component, only the edges
-        between two vertices of its ring (depth exactly r) need a triangle
-        count. Any other edge has an endpoint u at depth < r, so its common
-        neighbours in the view, all adjacent to u, lie within depth r and
-        it keeps the support ≥ k-2 it has in the view, a k-truss. If every
-        ring edge keeps k-2 common neighbours inside the candidate set, the
-        set is a k-truss within radius r that holds every seed community at
-        the center, and it is returned with no peel. Elsewhere, including
-        the full graph, which is no k-truss, the peel decides.
+        Given ``truss``, :meth:`keyword_truss` at this (``query``, k), the
+        BFS runs over its edges, and every vertex there holds a query
+        keyword, so the keyword test is skipped. A candidate set that covers
+        the center's whole component is returned as that component, with no
+        peel. The component of a k-truss is a k-truss, the BFS reached all
+        of it within depth r over its own edges, and every seed community at
+        the center is connected inside T_k(G_Q), so it is the maximal one.
+        Otherwise only the edges between two vertices of its ring (depth
+        exactly r) need a triangle count. Any other edge has an endpoint u
+        at depth < r, so its common neighbours in T_k(G_Q), all adjacent to
+        u, lie within depth r and it keeps the support ≥ k-2 it has in
+        T_k(G_Q). If every ring edge keeps k-2 common neighbours inside the
+        candidate set, the set is a k-truss within radius r that holds every
+        seed community at the center, and it is returned with no peel. If a
+        ring edge falls short, and always without ``truss`` (the full graph
+        is no k-truss), the peel decides. A ``truss`` of another (Q, k)
+        raises ValueError: its edges need not hold the communities asked
+        for.
         """
-        kw, adj, view = self.keywords, self.adj, self._view
-        if center not in adj:
-            return None
-        held = view is not None and view.k == k and view.query == query
-        if not held and kw.get(center, _NO_KEYWORDS).isdisjoint(query):
+        held = truss is not None
+        if held and (truss.k != k or truss.query != query):
+            raise ValueError(
+                f"keyword truss of ({sorted(truss.query)}, {truss.k}) "
+                f"asked at ({sorted(query)}, {k})"
+            )
+        kw, adj = self.keywords, truss.adj if held else self.adj
+        if center not in adj or (
+            not held and kw.get(center, _NO_KEYWORDS).isdisjoint(query)
+        ):
             return None
         cand = {center}
         frontier = [center]
@@ -414,11 +387,11 @@ class LocalGraph:
                         cand.add(v)
                         nxt.append(v)
             frontier = nxt
-        if view is not None and view.k == k:
-            whole = view.components[center]
+        if held:
+            whole = truss.components[center]
             if len(cand) == len(whole):
                 return whole
-            if held and r > 0:
+            if r > 0:
                 ring = set(frontier)
                 if all(
                     len(adj[u] & adj[v] & cand) >= k - 2
@@ -427,7 +400,7 @@ class LocalGraph:
                     if u < v
                 ):
                     return frozenset(cand)
-        nbr = self._nbr(cand)
+        nbr = {v: adj[v] & cand for v in cand}
         peel = _Peel(nbr, k, center)
         if not peel.run():
             return None
@@ -530,11 +503,10 @@ class LocalGraph:
         return math.fsum(self.influence(seed, theta).values())
 
     def positions(self) -> Dict[int, int]:
-        """vertex -> its position 0..n-1 in the full graph, built on the
-        first call and shared with its views, as ``_holders`` is."""
+        """vertex -> its position 0..n-1, built on the first call."""
         at = self._positions
         if not at:
-            self._order.extend(self.snapshot.adj)
+            self._order.extend(self.adj)
             at.update(zip(self._order, range(len(self._order))))
         return at
 

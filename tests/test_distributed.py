@@ -72,15 +72,16 @@ def test_broadcast_holds_no_influence_memo(spark, prepared_small, monkeypatch):
     """A warm driver memo is not shipped: the broadcast snapshot is the same
     graph with every field outside ``==`` (every memo of ``LocalGraph``,
     listed from its declared fields, so a later memo is covered too)
-    emptied, the driver keeps its memos, and the answers are unchanged."""
+    empty, the driver keeps its memos, and the answers are unchanged."""
     local, q = prepared_small.local, q_default()
     want = topl_icde(local, prepared_small.index, q, prepared_small.pre.thetas)
-    assert [c.cpp for c in want]
+    assert [c.cpp for c in want] and local.support
     memos = [f.name for f in dataclasses.fields(LocalGraph) if not f.compare]
     assert {"_arbo", "sigma_memo", "cpp_memo", "ball_memo", "_trusses"} <= set(memos)
-    # a field ``replace`` copies, and so would ship, holds something on the driver
-    warm = [f.name for f in dataclasses.fields(LocalGraph) if f.init and not f.compare]
-    assert all(getattr(local, name) for name in warm), warm
+    # every memo holds something on the driver, so an empty one shipped
+    # is one the broadcast emptied
+    warm = {name: getattr(local, name) for name in memos}
+    assert all(warm.values()), [name for name, memo in warm.items() if not memo]
     sc = spark.sparkContext
     shipped, broadcast = [], sc.broadcast
 
@@ -93,6 +94,7 @@ def test_broadcast_holds_no_influence_memo(spark, prepared_small, monkeypatch):
     assert len(shipped) == 1
     assert {name: getattr(shipped[0], name) for name in memos if getattr(shipped[0], name)} == {}
     assert shipped[0] == local
-    assert all(getattr(local, name) for name in warm), warm
+    for name in memos:
+        assert getattr(local, name) is warm[name] and warm[name], name
     assert [round(c.sigma, 6) for c in got] == [round(c.sigma, 6) for c in want]
     assert {c.vertices for c in got} == {c.vertices for c in want}

@@ -18,7 +18,7 @@ from repro.core import topl as topl_module
 from repro.core.index import build_index
 from repro.core.keywords import bv_of
 from repro.core.precompute import NO_EDGE_SUPPORT, Precomputed, z_index
-from repro.core.topl import Query, brute_force_topl, refine, topl_icde
+from repro.core.topl import Query, brute_force_topl, rank, refine, topl_icde
 from repro.experiments import params as P
 from repro.graph import generators as gen
 from repro.graph.local import LocalGraph, _Peel
@@ -102,13 +102,43 @@ def fresh(g: LocalGraph) -> LocalGraph:
     return LocalGraph(adj=g.adj, out=g.out, keywords=g.keywords, bv=g.bv)
 
 
-def extraction_path(view, center, got, peels, started):
-    """Which path of ``seed_community`` on ``view`` gave ``got``: a peel
-    (``_Peel`` built since ``len(peels) == started``), the component
+def edges_of(nbr):
+    """The canonical (u < v) edges of the neighbour map ``nbr``."""
+    return {(u, v) for u, nu in nbr.items() for v in nu if u < v}
+
+
+def truss_graph(g: LocalGraph, truss) -> LocalGraph:
+    """A snapshot whose edges are the keyword truss's, with ``g``'s
+    influence edges and keywords."""
+    return LocalGraph(adj=truss.adj, out=g.out, keywords=g.keywords, bv=g.bv)
+
+
+def extraction_path(truss, center, got, peels, started):
+    """Which path of ``seed_community`` given ``truss`` gave ``got``: a
+    peel (``_Peel`` built since ``len(peels) == started``), the component
     shortcut, or the ring test."""
     if len(peels) > started:
         return "peel"
-    return "component" if got == view.component(center) else "ring"
+    return "component" if got == truss.components[center] else "ring"
+
+
+class KeyedCenters(dict):
+    """A ``ball_memo`` entry that records, in ``keyed``, each center of
+    T_k(G_Q) that ``topl_icde`` keys: it reads the entry once per center."""
+
+    def __init__(self, entries, keyed):
+        super().__init__(entries)
+        self.keyed = keyed
+
+    def get(self, v, default=None):
+        self.keyed.append(v)
+        return super().get(v, default)
+
+
+def record_keyed(g: LocalGraph, q, keyed) -> None:
+    """Record in ``keyed`` each center ``topl_icde(g, ..., q)`` keys."""
+    at = (q.k, q.r, q.theta)
+    g.ball_memo[at] = KeyedCenters(g.ball_memo.get(at, {}), keyed)
 
 
 K5_EDGES = list(itertools.combinations(range(5), 2))
@@ -157,11 +187,11 @@ class TestSupportAndTruss:
 
     def test_support_is_whole_graph_count(self):
         """``support`` counts on the snapshot's own edges: the whole graph,
-        or a keyword truss view's peeled edges."""
+        or a snapshot built on a keyword truss's peeled edges."""
         g = make_local(K4_EDGES + [(0, 4)])
         want = {e: 2 for e in K4_EDGES}
         assert g.support == {**want, (0, 4): 0}
-        assert g.keyword_truss({"kw0"}, 4).support == want
+        assert truss_graph(g, g.keyword_truss({"kw0"}, 4)).support == want
 
     def test_path_support_zero(self):
         g = make_local(PATH)
@@ -382,20 +412,48 @@ class TestInfluence:
 
 class TestInfluenceMemo:
     def test_keyword_truss_view_shares_memo(self, local_medium, builds):
+        """Communities extracted through the keyword truss are scored on the
+        snapshot's one influence memo: a second read builds no
+        arborescence, and a new source is built once."""
         g = fresh(local_medium)
         query, k, r = {"kw0", "kw1", "kw2", "kw3", "kw4"}, 3, 2
-        view = g.keyword_truss(query, k)
-        comms = {view.seed_community(c, r, k, query) for c in view.adj} - {None}
+        truss = g.keyword_truss(query, k)
+        comms = {g.seed_community(c, r, k, query, truss) for c in truss.adj} - {None}
         assert len(comms) > 5
         warm = [g.influence(c, 0.2) for c in comms]
         assert builds
         builds.clear()
-        assert [view.influence(c, 0.2) for c in comms] == warm
+        assert [g.influence(c, 0.2) for c in comms] == warm
         assert builds == []
         other = next(v for v in g.adj if v not in g._arbo)
-        view.influence([other], 0.2)
+        g.influence([other], 0.2)
         g.influence([other], 0.2)
         assert builds == [other]
+
+    def test_copies_start_with_empty_memos(self, local_small):
+        """Every memo field (outside ``==``) is ``init=False``: a
+        ``dataclasses.replace`` copy and a new instance on the same four
+        graph fields start with every memo empty, while the warm snapshot
+        keeps its own."""
+        g = fresh(local_small)
+        index, _ = driver_index(g)
+        q = TestTrussBallBound.QUERY
+        assert [c.cpp for c in topl_icde(g, index, q, P.THETAS)]
+        assert g.support
+        fields = [f for f in dataclasses.fields(LocalGraph) if not f.compare]
+        memos = [f.name for f in fields]
+        assert {
+            "_arbo", "sigma_memo", "cpp_memo", "_positions", "_order",
+            "_support", "_holders", "_trusses", "ball_memo",
+        } <= set(memos)
+        assert not any(f.init for f in fields)
+        warm = {name: getattr(g, name) for name in memos}
+        assert all(warm.values()), [name for name, memo in warm.items() if not memo]
+        for copy in (dataclasses.replace(g), LocalGraph(g.adj, g.out, g.keywords, g.bv)):
+            assert copy == g
+            assert {name: getattr(copy, name) for name in memos if getattr(copy, name)} == {}
+        for name in memos:
+            assert getattr(g, name) is warm[name] and warm[name], name
 
     def test_lower_theta_rebuilds_touched_sources_only(self, local_medium, builds):
         g = fresh(local_medium)
@@ -550,13 +608,14 @@ class TestSeedCommunity:
 
 
 class TestKeywordTruss:
-    """The view T_k(G_Q) extracts exactly what the full graph extracts."""
+    """Extraction given the keyword truss T_k(G_Q) is exactly what the full
+    graph extracts."""
 
     def test_view_matches_full_graph(self, generated_graphs, peels):
-        """The view's edges are T_k(G_Q) as the peel of G_Q and as
+        """The keyword truss's edges are T_k(G_Q) as the peel of G_Q and as
         ``networkx.k_truss`` (an implementation of its own) compute it, at
-        every k in 2..6, and extraction on the view equals extraction on
-        the full graph."""
+        every k in 2..6, and extraction given it equals extraction on the
+        full graph alone."""
         rng = random.Random(29)
         for g in generated_graphs:
             vocab = sorted({w for kws in g.keywords.values() for w in kws})
@@ -565,28 +624,28 @@ class TestKeywordTruss:
             for _ in range(12):
                 query = set(rng.sample(vocab, rng.randint(1, 6)))
                 k, r = rng.randint(2, 6), rng.randint(1, 3)
-                view = g.keyword_truss(query, k)
+                truss = g.keyword_truss(query, k)
+                assert (truss.query, truss.k) == (query, k)
                 vq = {v for v in g.adj if g.keywords[v] & query}
                 _, want_edges = g.ktruss(vq, k)
-                assert set(view.undirected_edges()) == want_edges
+                assert edges_of(truss.adj) == want_edges
                 gq = nx.Graph((u, v) for u in vq for v in g.adj[u] & vq)
                 for kk in range(2, 7):
                     want = {(min(e), max(e)) for e in nx.k_truss(gq, kk).edges}
-                    got = set(g.keyword_truss(query, kk).undirected_edges())
+                    got = edges_of(g.keyword_truss(query, kk).adj)
                     assert got == want, (query, kk)
-                assert view.out is g.out and view.keywords is g.keywords
                 for center in g.vertices():
                     got = g.seed_community(center, r, k, query)
-                    if center not in view.adj:
+                    if center not in truss.adj:
                         assert got is None, (center, r, k, query)
                         continue
                     started = len(peels)
-                    assert view.seed_community(center, r, k, query) == got, (
+                    assert g.seed_community(center, r, k, query, truss) == got, (
                         center, r, k, query,
                     )
-                    paths[extraction_path(view, center, got, peels, started)] += 1
-                    cut += view.adj[center] != g.adj[center] & vq
-            assert cut > 0, "the view never cut a surviving center's adjacency"
+                    paths[extraction_path(truss, center, got, peels, started)] += 1
+                    cut += truss.adj[center] != g.adj[center] & vq
+            assert cut > 0, "the truss never cut a surviving center's adjacency"
             assert paths["component"] and paths["ring"], f"extraction paths: {paths}"
 
     def test_component_shortcut_on_a_chain_of_triangles(self, peels):
@@ -594,27 +653,29 @@ class TestKeywordTruss:
         stands alone. At k = 3, r = 1 the ball of 7 is its whole component;
         the ball of 2 is not, but its ring edges 0-1 and 3-4 keep their
         triangles through 2 (ring test). Neither peels, and both extract
-        what the full graph extracts; at another k the view peels as usual."""
+        what the full graph extracts; at another k the truss raises and the
+        full graph peels as usual."""
         chain = [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4), (4, 5), (4, 6), (5, 6)]
         g = make_local(chain + [(7, 8), (7, 9), (8, 9)])
         q = {"kw0"}
-        view = g.keyword_truss(q, 3)
+        truss = g.keyword_truss(q, 3)
         peels.clear()
-        assert view.seed_community(7, 1, 3, q) == frozenset({7, 8, 9})
-        assert view.seed_community(2, 1, 3, q) == frozenset(range(5))
+        assert g.seed_community(7, 1, 3, q, truss) == frozenset({7, 8, 9})
+        assert g.seed_community(2, 1, 3, q, truss) == frozenset(range(5))
         assert peels == []
         for center in range(10):
-            assert view.seed_community(center, 1, 3, q) == g.seed_community(center, 1, 3, q)
-            assert view.seed_community(center, 3, 3, q) == g.seed_community(center, 3, 3, q)
+            for r in (1, 3):
+                assert g.seed_community(center, r, 3, q, truss) == g.seed_community(center, r, 3, q)
         assert g.seed_community(0, 3, 3, q) == frozenset(range(7))
         peels.clear()
-        assert view.seed_community(7, 1, 4, q) is None
+        with pytest.raises(ValueError, match="asked at"):
+            g.seed_community(7, 1, 4, q, truss)
         assert g.seed_community(7, 1, 4, q) is None
-        assert peels == [7, 7]
+        assert peels == [7]
 
     def test_ring_test_falls_back_to_the_peel(self, peels):
         """Octahedron on 0..5 with opposite pairs 0-5, 1-2 and 3-4, at
-        k = 4: every edge is in two triangles, so the view keeps it whole.
+        k = 4: every edge is in two triangles, so T_k(G_Q) keeps it whole.
         At r = 1 each ring edge of center 0 closes its second triangle
         through 5, at depth 2; the ring test fails, the peel runs and
         removes every edge, as on the full graph. At r = 2 the ball is the
@@ -626,17 +687,17 @@ class TestKeywordTruss:
         ]
         g = make_local(octahedron)
         q = {"kw0"}
-        view = g.keyword_truss(q, 4)
-        assert set(view.undirected_edges()) == set(octahedron)
+        truss = g.keyword_truss(q, 4)
+        assert edges_of(truss.adj) == set(octahedron)
         peels.clear()
-        assert view.seed_community(0, 1, 4, q) is None
+        assert g.seed_community(0, 1, 4, q, truss) is None
         assert peels == [0]
         assert g.seed_community(0, 1, 4, q) is None
-        assert view.seed_community(0, 0, 4, q) is None  # no edge within r = 0
+        assert g.seed_community(0, 0, 4, q, truss) is None  # no edge within r = 0
         assert g.seed_community(0, 0, 4, q) is None
         peels.clear()
-        got = view.seed_community(0, 2, 4, q)
-        assert got is view.component(0) and peels == []
+        got = g.seed_community(0, 2, 4, q, truss)
+        assert got is truss.components[0] and peels == []
         assert got == g.seed_community(0, 2, 4, q) == frozenset(range(6))
 
     def test_ring_test_answers_are_seed_communities(self, generated_graphs, peels):
@@ -652,16 +713,17 @@ class TestKeywordTruss:
             for _ in range(12):
                 query = set(rng.sample(vocab, rng.randint(1, 6)))
                 k, r = rng.randint(2, 6), rng.randint(1, 3)
-                view = g.keyword_truss(query, k)
-                for center in view.adj:
+                truss = g.keyword_truss(query, k)
+                on_truss = truss_graph(g, truss)
+                for center in truss.adj:
                     started = len(peels)
-                    got = view.seed_community(center, r, k, query)
-                    if extraction_path(view, center, got, peels, started) != "ring":
+                    got = g.seed_community(center, r, k, query, truss)
+                    if extraction_path(truss, center, got, peels, started) != "ring":
                         continue
                     checked += 1
-                    support = view.induced_support(set(got))
+                    support = on_truss.induced_support(set(got))
                     assert support and min(support.values()) >= k - 2, (center, r, k, query)
-                    dist = view.khop(center, r, allowed=set(got))
+                    dist = on_truss.khop(center, r, allowed=set(got))
                     assert dist.keys() == got, (center, r, k, query)
                     assert all(g.keywords[v] & query for v in got)
                     assert got == reference_seed_community(g, center, r, k, query)
@@ -670,43 +732,27 @@ class TestKeywordTruss:
     def test_dangling_keyword_path_dropped(self):
         """Keyword K4 on 0..3 with keyword path 3-4-5; vertex 6 lacks the
         keyword and closes triangle 4-5-6. In G_Q the path is in no
-        triangle, so the view keeps the K4 alone."""
+        triangle, so T_k(G_Q) keeps the K4 alone."""
         kws = {v: ["kw1"] for v in range(6)}
         kws[6] = ["kw9"]
         g = make_local(
             list(itertools.combinations(range(4), 2)) + [(3, 4), (4, 5), (4, 6), (5, 6)],
             keywords=kws,
         )
-        view = g.keyword_truss({"kw1"}, 3)
-        assert set(view.adj) == {0, 1, 2, 3}
-        assert view.adj[3] == {0, 1, 2}
+        truss = g.keyword_truss({"kw1"}, 3)
+        assert set(truss.adj) == {0, 1, 2, 3}
+        assert truss.adj[3] == {0, 1, 2}
         for center in (4, 5):
             assert g.seed_community(center, 2, 3, {"kw1"}) is None
-            assert view.seed_community(center, 2, 3, {"kw1"}) is None
-        assert view.seed_community(0, 2, 3, {"kw1"}) == frozenset(range(4))
+            assert g.seed_community(center, 2, 3, {"kw1"}, truss) is None
+        assert g.seed_community(0, 2, 3, {"kw1"}, truss) == frozenset(range(4))
         assert g.seed_community(0, 2, 3, {"kw1"}) == frozenset(range(4))
 
-    def test_views_share_every_memo(self, local_medium):
-        """Every ``init=True`` memo field of a snapshot (the fields outside
-        ``==``) is the very object its keyword truss views hold, so what
-        one query fills serves the next, whichever graph it asks."""
-        g = fresh(local_medium)
-        memos = [
-            f.name for f in dataclasses.fields(LocalGraph) if f.init and not f.compare
-        ]
-        assert {
-            "_arbo", "sigma_memo", "cpp_memo", "_positions", "_holders", "_trusses"
-        } <= set(memos)
-        for query, k in (({"kw0", "kw1"}, 3), ({"kw2", "kw3", "kw4"}, 4)):
-            view = g.keyword_truss(query, k)
-            for name in memos:
-                assert getattr(view, name) is getattr(g, name), name
-
     def test_graph_truss_peeled_once_per_k(self, local_medium, peels):
-        """T_k(G) is peeled on the first view at k and read by every later
-        one: a first view at k builds two peels (T_k(G), then T_k(G_Q)
-        inside it), a later view one. The kept T_k(G) is the graph's
-        maximal k-truss."""
+        """T_k(G) is peeled on the first keyword truss at k and read by
+        every later one: a first keyword truss at k builds two peels
+        (T_k(G), then T_k(G_Q) inside it), a later one one. The kept T_k(G)
+        is the graph's maximal k-truss."""
         g = fresh(local_medium)
         rng = random.Random(67)
         vocab = sorted({w for kws in g.keywords.values() for w in kws})
@@ -719,13 +765,12 @@ class TestKeywordTruss:
         assert set(g._trusses) == asked
         for k in asked:
             truss = g._trusses[k]
-            edges = {(u, v) for u, nu in truss.items() for v in nu if u < v}
-            assert (set(truss), edges) == g.ktruss(set(g.adj), k), k
+            assert (set(truss), edges_of(truss)) == g.ktruss(set(g.adj), k), k
 
     def test_holding_equals_the_keyword_scan(self, generated_graphs):
         """V_Q read from the keyword map is the scan over every vertex,
-        vertices without edges included; the map is built once per graph
-        and shared with its views."""
+        vertices without edges included; the map is built once per graph,
+        and every vertex of a keyword truss is in V_Q."""
         kws = {0: ["a"], 1: ["a", "b"], 2: ["c"], 3: ["a"], 4: ["b", "c"], 5: ["d"]}
         g = make_local([(0, 1), (0, 2), (1, 2)], n=6, keywords=kws)
         assert not g.adj[3] and not g.adj[4]
@@ -740,37 +785,26 @@ class TestKeywordTruss:
                 query = set(rng.sample(vocab, rng.randint(1, 6))) | {"not-a-keyword"}
                 want = {v for v in g.adj if g.keywords[v] & query}
                 assert g.holding(query) == want, query
-                view = g.keyword_truss(query, rng.randint(2, 5))
-                assert view._holders is g._holders
-                assert view.holding(query) == want & view.adj.keys()
+                assert g.keyword_truss(query, rng.randint(2, 5)).adj.keys() <= want
 
-    def test_view_asked_at_another_query_keeps_the_keyword_test(self, generated_graphs):
-        """K4 on 0..3 where 0-2 hold kw1 and 3 holds kw2: the view at
-        ({kw1, kw2}, 3) asked with {kw1} drops 3, and every view asked with
-        Q′ ≠ Q extracts what the plain fixpoint extracts on the view."""
+    def test_truss_asked_at_another_query_or_k_raises(self):
+        """K4 on 0..3 where 0-2 hold kw1 and 3 holds kw2: the keyword truss
+        of ({kw1, kw2}, 3) extracts the K4 at its own (Q, k), given as a set
+        or a frozenset, and raises ValueError asked with {kw1} or {kw2}, or
+        at k = 4, where its edges need not hold the communities asked for
+        (the full graph extracts the triangle 0-2 at {kw1}). It raises
+        before any vertex test, so also at a vertex it lacks."""
         kws = {0: ["kw1"], 1: ["kw1"], 2: ["kw1"], 3: ["kw2"]}
-        g = make_local(list(itertools.combinations(range(4), 2)), keywords=kws)
-        view = g.keyword_truss({"kw1", "kw2"}, 3)
-        assert view.seed_community(0, 1, 3, {"kw1", "kw2"}) == frozenset(range(4))
-        assert view.seed_community(0, 1, 3, {"kw1"}) == frozenset(range(3))
-        assert view.seed_community(3, 1, 3, {"kw1"}) is None
-        assert view.seed_community(0, 1, 3, {"kw2"}) is None
-        rng = random.Random(59)
-        for g in generated_graphs:
-            vocab = sorted({w for kws in g.keywords.values() for w in kws})
-            checked = 0
-            for _ in range(6):
-                query = set(rng.sample(vocab, rng.randint(2, 6)))
-                other = set(rng.sample(sorted(query), len(query) - 1))
-                k, r = rng.randint(2, 5), rng.randint(1, 3)
-                view = g.keyword_truss(query, k)
-                for center in view.adj:
-                    got = view.seed_community(center, r, k, other)
-                    assert got == reference_seed_community(view, center, r, k, other), (
-                        center, r, k, other,
-                    )
-                    checked += got is not None
-            assert checked, "no community at another query"
+        g = make_local(K4_EDGES, keywords=kws)
+        truss = g.keyword_truss({"kw1", "kw2"}, 3)
+        for q in ({"kw1", "kw2"}, frozenset({"kw1", "kw2"})):
+            assert g.seed_community(0, 1, 3, q, truss) == frozenset(range(4))
+        assert g.seed_community(0, 1, 3, {"kw1"}) == frozenset(range(3))
+        for center, q, k in (
+            (0, {"kw1"}, 3), (0, {"kw2"}, 3), (0, {"kw1", "kw2"}, 4), (99, {"kw1"}, 3),
+        ):
+            with pytest.raises(ValueError, match="asked at"):
+                g.seed_community(center, 1, k, q, truss)
 
 
 class TestSigmaMemo:
@@ -778,8 +812,9 @@ class TestSigmaMemo:
     what the σ memo already holds."""
 
     def test_answers_equal_a_fresh_graph(self, generated_graphs):
-        """40 seeded queries on one graph, every other one through its
-        keyword truss view, against each query on an empty-memo graph:
+        """40 seeded queries on one graph, every other one refining the
+        centers of its keyword truss given the truss, against each query on
+        an empty-memo graph:
         θ on the offline grid and off it, (Q, k, r) drawn from a small pool
         so that queries repeat communities."""
         rng = random.Random(41)
@@ -798,8 +833,13 @@ class TestSigmaMemo:
                     theta=rng.choice((0.1, 0.15, 0.2, 0.3, 0.45)), L=rng.randint(1, 10),
                 )
                 before = set(shared.sigma_memo)
-                target = shared.keyword_truss(kws, k) if i % 2 else shared
-                got = brute_force_topl(target, q)
+                if i % 2:
+                    truss, seen = shared.keyword_truss(kws, k), set()
+                    got = rank(
+                        (refine(shared, v, q, seen, truss) for v in sorted(truss.adj)), q.L
+                    )
+                else:
+                    got = brute_force_topl(shared, q)
                 want = brute_force_topl(fresh(g), q)
                 assert [c.vertices for c in got] == [c.vertices for c in want], q
                 for a, b in zip(got, want):
@@ -812,10 +852,10 @@ class TestSigmaMemo:
             assert hits and misses, (hits, misses)
 
     def test_view_and_graph_share_memo(self, local_medium, monkeypatch):
-        """A community scored through the view is a hit through the graph,
+        """A community scored given the keyword truss is a hit without it,
         and the other way round; another θ is a miss. A hit makes no
         influence call in ``refine``, nor when its ``cpp`` is read: the
-        miss's first read computed it into the cpp memo the two share."""
+        miss's first read computed it into the snapshot's cpp memo."""
         g = fresh(local_medium)
         scored = []
         influence = LocalGraph.influence
@@ -826,14 +866,14 @@ class TestSigmaMemo:
 
         monkeypatch.setattr(LocalGraph, "influence", counting)
         q = Query(keywords=frozenset({"kw0", "kw1", "kw2", "kw3", "kw4"}), k=3, r=2, theta=0.2, L=5)
-        view = g.keyword_truss(q.keywords, q.k)
+        truss = g.keyword_truss(q.keywords, q.k)
         comms = {}
-        for c in sorted(view.adj):
-            comms.setdefault(view.seed_community(c, q.r, q.k, q.keywords), c)
+        for c in sorted(truss.adj):
+            comms.setdefault(g.seed_community(c, q.r, q.k, q.keywords, truss), c)
         comms.pop(None, None)
         (ga, a), (gb, b) = list(comms.items())[:2]
 
-        first = refine(view, a, q, set())
+        first = refine(g, a, q, set(), truss)
         assert scored == [(ga, 0.2)]
         # scoring keeps no influenced community: the first read computes it
         assert first.cpp and scored == [(ga, 0.2)] * 2
@@ -846,16 +886,14 @@ class TestSigmaMemo:
 
         second = refine(g, b, q, set())
         assert scored[2:] == [(gb, 0.2)] and second.cpp
-        hit = refine(view, b, q, set())
+        hit = refine(g, b, q, set(), truss)
         assert scored[2:] == [(gb, 0.2)] * 2 and hit.sigma == second.sigma
         assert hit.cpp == second.cpp and len(scored) == 4
 
-        other = refine(view, a, dataclasses.replace(q, theta=0.3), set())
+        other = refine(g, a, dataclasses.replace(q, theta=0.3), set(), truss)
         assert scored[4:] == [(ga, 0.3)] and other.cpp
         assert set(g.sigma_memo) == {(ga, 0.2), (gb, 0.2), (ga, 0.3)}
-        assert g.sigma_memo is view.sigma_memo
         assert set(g.cpp_memo) == set(g.sigma_memo)
-        assert g.cpp_memo is view.cpp_memo and g._positions is view._positions
 
 
 def driver_index(g: LocalGraph):
@@ -901,12 +939,12 @@ class TestComponentBound:
                 for _ in range(2):
                     query = set(rng.sample(vocab, rng.randint(1, 6)))
                     r, theta = rng.randint(1, 3), rng.choice(self.THETAS)
-                    view = g.keyword_truss(query, k)
-                    for center in view.adj:
+                    truss = g.keyword_truss(query, k)
+                    for center in truss.adj:
                         comm = g.seed_community(center, r, k, query)
                         if comm is None:
                             continue
-                        whole = view.component(center)
+                        whole = truss.components[center]
                         assert comm <= whole, (center, r, k, query)
                         bound = topl_module.score(g, whole, theta)
                         assert bound >= topl_module.score(g, comm, theta), (
@@ -921,11 +959,7 @@ class TestComponentBound:
         on another center the bound is below σ_z yet does not prune."""
         decisions = []  # (vertex, key tested, σ_L, pruned)
         pending = []
-        component, prune = LocalGraph.component, topl_module.score_prune
-
-        def recording_component(self, v):
-            pending.append(v)
-            return component(self, v)
+        prune = topl_module.score_prune
 
         def recording_prune(key, sigma_l):
             pruned = prune(key, sigma_l)
@@ -933,7 +967,6 @@ class TestComponentBound:
                 decisions.append((pending.pop(), key, sigma_l, pruned))
             return pruned
 
-        monkeypatch.setattr(LocalGraph, "component", recording_component)
         monkeypatch.setattr(topl_module, "score_prune", recording_prune)
         rng = random.Random(47)
         for g in generated_graphs:
@@ -948,6 +981,7 @@ class TestComponentBound:
                     theta=rng.choice(self.THETAS), L=rng.randint(1, 10),
                 )
                 decisions.clear()
+                record_keyed(g, q, pending)
                 got = topl_icde(g, index, q, P.THETAS)
                 assert [c.sigma for c in got] == [c.sigma for c in brute_force_topl(g, q)], q
                 z = z_index(P.THETAS, q.theta)
@@ -982,8 +1016,7 @@ class TestTrussBallBound:
                 for _ in range(2):
                     query = set(rng.sample(vocab, rng.randint(1, 6)))
                     r, theta = rng.randint(1, 3), rng.choice(self.THETAS)
-                    view = g.keyword_truss(query, k)
-                    for center in view.adj:
+                    for center in g.keyword_truss(query, k).adj:
                         ball = g.truss_ball(center, k, r)
                         assert ball == set(nx.ego_graph(truss, center, radius=r)), (
                             center, k, r,
@@ -1005,27 +1038,22 @@ class TestTrussBallBound:
         σ_z(hop(v, r)) and σ(C, θ) alone keep: a center keyed above the
         final σ_L that is never refined, cut by the Lemma 4 test or the
         Lemma 7 stop, is refined when every ball is widened to the whole
-        view, which holds C. Every key tested on a center is the least of
-        the three bounds, the ball's read from the memo, and the σ lists
-        are brute force's."""
+        graph, which holds C. Every key tested on a center is the least of
+        the two truss bounds, σ(C, θ) and the ball's read from the memo,
+        and the σ lists are brute force's."""
         decisions = []  # (vertex, key tested)
         pending, refined = [], []
-        component, prune, refine_ = LocalGraph.component, topl_module.score_prune, refine
-
-        def recording_component(self, v):
-            pending.append(v)
-            return component(self, v)
+        prune, refine_ = topl_module.score_prune, refine
 
         def recording_prune(key, sigma_l):
             if pending:
                 decisions.append((pending.pop(), key))
             return prune(key, sigma_l)
 
-        def recording_refine(local, center, query, seen):
+        def recording_refine(local, center, query, seen, truss=None):
             refined.append(center)
-            return refine_(local, center, query, seen)
+            return refine_(local, center, query, seen, truss)
 
-        monkeypatch.setattr(LocalGraph, "component", recording_component)
         monkeypatch.setattr(topl_module, "score_prune", recording_prune)
         monkeypatch.setattr(topl_module, "refine", recording_refine)
         rng = random.Random(59)
@@ -1041,18 +1069,18 @@ class TestTrussBallBound:
                     theta=rng.choice(self.THETAS), L=rng.randint(1, 10),
                 )
                 decisions.clear(), refined.clear()
+                record_keyed(g, q, pending)
                 got = topl_icde(g, index, q, P.THETAS)
                 kept = set(refined)
                 sigma_l = got[-1].sigma if len(got) == q.L else -math.inf
-                view = g.keyword_truss(q.keywords, q.k)
+                truss = g.keyword_truss(q.keywords, q.k)
                 balls = g.ball_memo[q.k, q.r, q.theta]
                 z = z_index(P.THETAS, q.theta)
                 cut = set()
                 for v, key in decisions:
-                    loose = min(
-                        sigma_z[v, q.r][z], topl_module.score(g, component(view, v), q.theta)
-                    )
-                    assert key == min(loose, balls[v])
+                    bound = topl_module.score(g, truss.components[v], q.theta)
+                    assert key == min(bound, balls[v])
+                    loose = min(sigma_z[v, q.r][z], bound)
                     if loose > sigma_l and v not in kept:
                         cut.add(v)
                 with monkeypatch.context() as m:
@@ -1070,30 +1098,26 @@ class TestTrussBallBound:
     def test_memo_is_shared_and_each_ball_built_once(self, local_small, monkeypatch):
         """Two queries that differ only in Q, at one (k, r, θ): each center's
         ball is built once, and the second query reads balls the first
-        built. The memo holds σ(B, θ) as the σ memo holds it, and the views
-        share it with the snapshot."""
+        built. The memo holds σ(B, θ) as the σ memo holds it."""
         g = fresh(local_small)
         index, _ = driver_index(g)
         built, keyed = [], []
-        ball, component = LocalGraph.truss_ball, LocalGraph.component
+        ball = LocalGraph.truss_ball
 
         def counting_ball(self, center, k, r):
             built.append(center)
             return ball(self, center, k, r)
 
-        def recording_component(self, v):
-            keyed.append(v)
-            return component(self, v)
-
         monkeypatch.setattr(LocalGraph, "truss_ball", counting_ball)
-        monkeypatch.setattr(LocalGraph, "component", recording_component)
         q = self.QUERY
         other = dataclasses.replace(q, keywords=frozenset({"kw2", "kw3", "kw4", "kw5", "kw6"}))
         at = (q.k, q.r, q.theta)
+        record_keyed(g, q, keyed)
         topl_icde(g, index, q, P.THETAS)
         first = set(g.ball_memo[at])
         assert built and sorted(built) == sorted(first) == sorted(set(keyed))
         built.clear(), keyed.clear()
+        record_keyed(g, other, keyed)
         topl_icde(g, index, other, P.THETAS)
         assert not first & set(built), "a ball was built twice"
         assert first & set(keyed), "the second query read no ball the first built"
@@ -1101,13 +1125,11 @@ class TestTrussBallBound:
         assert list(g.ball_memo) == [at]
         for v, sigma in g.ball_memo[at].items():
             assert g.sigma_memo[ball(g, v, q.k, q.r), q.theta] == sigma
-        for query in (q, other):
-            assert g.keyword_truss(query.keywords, q.k).ball_memo is g.ball_memo
 
     @pytest.mark.parametrize("flags", [dict(use_support=False), dict(use_score=False)])
     def test_memo_stays_empty_without_the_bound(self, local_small, flags):
         """The bound is active exactly where the component bound is: with
-        the keyword truss view and the score family on."""
+        the keyword truss and the score family on."""
         g = fresh(local_small)
         index, _ = driver_index(g)
         assert topl_icde(g, index, self.QUERY, P.THETAS, **flags)

@@ -4,7 +4,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.pruning import PruningStats
-from repro.core.topl import Community, Query, brute_force_topl, rank, topl_icde
+from repro.core.topl import Community, Query, brute_force_topl, rank, refine, topl_icde
 from repro.graph.local import LocalGraph
 from tests.test_local_graph import fresh
 
@@ -206,12 +206,17 @@ def test_community_cpp_is_computed_once(prepared_small, monkeypatch):
 
 def test_community_equality_ignores_graph_and_theta(prepared_small):
     """``==`` and ``hash`` cover center, vertices and σ; an answer holds the
-    full snapshot even when it was scored through a keyword truss view."""
+    snapshot it was scored on, also when it was extracted through the
+    query's keyword truss."""
     local = prepared_small.local
-    view = local.keyword_truss({"kw0", "kw1"}, 3)
+    q = Query(keywords=frozenset({"kw0", "kw1"}), k=3, r=2, theta=0.3, L=1)
+    truss = local.keyword_truss(q.keywords, q.k)
+    v = min(truss.adj)
+    found = refine(local, v, q, set(), truss)
+    assert found.graph is local and found.theta == 0.3
     g = frozenset({3, 5})
     bare = Community(3, g, 1.5)
-    scored = [Community(3, g, 1.5, local, 0.2), Community(3, g, 1.5, view, 0.3)]
+    scored = [Community(3, g, 1.5, local, 0.2), Community(3, g, 1.5, local, 0.3)]
     for c in scored:
         assert c == bare and hash(c) == hash(bare)
         assert c.graph is local
