@@ -8,18 +8,24 @@ online phase runs against this collected snapshot, while the *offline* phase
 (and all bulk work) uses the Spark implementations in ``graph/`` and
 ``influence/``. Tests assert the two agree.
 
-Everything here is pure Python + stdlib (heapq), deterministic, and sized for
-graphs that fit comfortably on the driver (≤ a few hundred thousand edges).
-Seed-community extraction (where it peels), :meth:`LocalGraph.ktruss`,
-the per-query keyword truss (:meth:`LocalGraph.keyword_truss`) and
-hence ATindex's edge trussness share one queue-based k-truss peel
-(:class:`_Peel`) that counts support once and updates it as edges leave.
-It first cuts vertices of degree ≤ k-2, cascading (the (k-1)-core cut,
-the routine :meth:`LocalGraph.kcore` runs too): a vertex with an edge in a
-k-truss has that edge's other end and its k-2 common neighbours there, so
-no vertex cut had one. The keyword truss peels from T_k(G), the full
-graph's own k-truss restricted to V_Q, peeled once per k and kept on the
-snapshot: T_k(G_Q) is a k-truss subgraph of G, so it lies in T_k(G).
+Everything here is Python, its stdlib and numpy, deterministic, and sized
+for graphs that fit comfortably on the driver (≤ a few hundred thousand
+edges). There are two k-truss peels. Whole-graph trusses, T_k(G)
+(:meth:`LocalGraph.truss`), :meth:`LocalGraph.ktruss` (hence ATindex's
+edge trussness) and the per-query keyword truss T_k(G_Q)
+(:meth:`LocalGraph.keyword_truss`), run one batch peel
+(:func:`_batch_peel`) over the snapshot's triangle index
+(:meth:`LocalGraph.triangle_index`, every edge and triangle of G as
+arrays, built once): each round counts the support of every alive edge
+with one ``np.bincount`` and removes every edge below k-2 at once.
+Seed-community extraction, where it peels, runs a queue-based peel of
+one center's ball (:class:`_Peel`) that counts support once and updates
+it as edges leave; it first cuts vertices of degree ≤ k-2, cascading
+(the (k-1)-core cut, the routine :meth:`LocalGraph.kcore` runs too), and
+stops as soon as the center loses its last edge. The keyword truss peels
+from T_k(G), the full graph's own k-truss restricted to V_Q, peeled once
+per k and kept on the snapshot as an edge mask: T_k(G_Q) is a k-truss
+subgraph of G, so it lies in T_k(G).
 Influence (:meth:`LocalGraph.influence`) merges per-source maximum
 influence out-arborescences, each built once by a max-product Dijkstra and
 memoised on the snapshot, so communities that share seed vertices, within
@@ -92,6 +98,20 @@ class KeywordTruss(NamedTuple):
     components: Dict[int, FrozenSet[int]]
 
 
+class TriangleIndex(NamedTuple):
+    """Every edge and every triangle of a snapshot's graph, as arrays that
+    no query enters (:meth:`LocalGraph.triangle_index`); a set of edges is
+    a boolean mask over the edge ids."""
+
+    #: position -> vertex, in the order of :meth:`LocalGraph.positions`
+    vertex: np.ndarray
+    #: edge id -> the positions of its ends u and v, canonical (u < v)
+    u: np.ndarray
+    v: np.ndarray
+    #: a (3, T) array: column t holds the ids of triangle t's three edges
+    triangles: np.ndarray
+
+
 def _memo(factory=dict):
     """A memo field: outside ``==`` and ``repr``, and ``init=False``, so a
     ``dataclasses.replace`` copy or a new instance starts with it empty."""
@@ -136,9 +156,13 @@ class LocalGraph:
     #: keyword -> the vertices holding it, built by the first
     #: :meth:`holding` call
     _holders: Dict[str, Set[int]] = _memo()
-    #: k -> the neighbour map of T_k(G), the full graph's maximal k-truss,
-    #: peeled by the first :meth:`truss` call at k
-    _trusses: Dict[int, Dict[int, Set[int]]] = _memo()
+    #: the triangle index of G, built by the first :meth:`triangle_index`
+    #: call
+    _triangles: Optional[TriangleIndex] = _memo(lambda: None)
+    #: k -> T_k(G), the full graph's maximal k-truss, as its edge mask over
+    #: :meth:`triangle_index` and its neighbour map, peeled by the first
+    #: :meth:`truss` call at k
+    _trusses: Dict[int, Tuple[np.ndarray, Dict[int, Set[int]]]] = _memo()
     #: (k, r, θ) -> center -> σ(B_r(center), θ), where B_r(center) is the
     #: center's depth-r ball in T_k(G) (:meth:`truss_ball`), which holds
     #: every seed community at the center; read and filled by
@@ -241,28 +265,52 @@ class LocalGraph:
         """Neighbour map of the induced subgraph on ``vset``."""
         return {v: self.adj[v] & vset for v in vset}
 
-    def _truss_nbr(
-        self, vset: Set[int], k: int, within: Optional[Dict[int, Set[int]]] = None
-    ) -> Dict[int, Set[int]]:
-        """Neighbour map of the maximal k-truss of the induced subgraph on
-        ``vset``: edges with support < k-2 (paper Def. 2 / Lemma 2) peeled
-        by :class:`_Peel`, vertices left without edges dropped. With
-        ``within``, a neighbour map of a subgraph that holds that k-truss,
-        the peel starts from ``within``'s edges instead of this graph's."""
-        adj = self.adj if within is None else within
-        nbr = {v: adj[v] & vset for v in vset if v in adj}
-        _Peel(nbr, k).run()
-        return {u: nu for u, nu in nbr.items() if nu}
+    def triangle_index(self) -> TriangleIndex:
+        """The :class:`TriangleIndex` of this graph, built on the first call
+        and kept in ``_triangles``."""
+        tri = self._triangles
+        if tri is None:
+            adj, at = self.adj, self.positions()
+            eid: Dict[Tuple[int, int], int] = {}
+            for u, nu in adj.items():
+                for v in nu:
+                    if u < v:
+                        eid[(u, v)] = len(eid)
+            flat: List[int] = []
+            for (u, v), e in eid.items():
+                for w in adj[u] & adj[v]:
+                    if w > v:
+                        flat += (e, eid[(u, w)], eid[(v, w)])
+            tri = self._triangles = TriangleIndex(
+                np.array(self._order),
+                np.fromiter((at[u] for u, _ in eid), np.intp, len(eid)),
+                np.fromiter((at[v] for _, v in eid), np.intp, len(eid)),
+                np.array(flat, np.intp).reshape(-1, 3).T.copy(),
+            )
+        return tri
+
+    def _edge_mask(self, vset: Set[int]) -> np.ndarray:
+        """The edges of the induced subgraph on ``vset``, a set of vertices
+        of this graph, as a mask over :meth:`triangle_index`'s edge ids."""
+        tri, at = self.triangle_index(), self.positions()
+        inside = np.zeros(len(at), bool)
+        inside[np.fromiter(map(at.__getitem__, vset), np.intp, len(vset))] = True
+        return inside[tri.u] & inside[tri.v]
 
     def ktruss(
         self, vset: Set[int], k: int
     ) -> Tuple[Set[int], Set[Tuple[int, int]]]:
-        """Maximal k-truss of the induced subgraph on ``vset``.
+        """Maximal k-truss of the induced subgraph on ``vset``: edges with
+        support < k-2 (paper Def. 2 / Lemma 2) peeled by
+        :func:`_batch_peel`, vertices left without edges dropped.
 
         Returns (vertices, canonical edges).
         """
-        nbr = self._truss_nbr(vset, k)
-        return set(nbr), {(u, v) for u, nu in nbr.items() for v in nu if u < v}
+        tri = self.triangle_index()
+        alive = _batch_peel(tri.triangles, self._edge_mask(self.adj.keys() & vset), k)
+        us = tri.vertex[tri.u[alive]].tolist()
+        vs = tri.vertex[tri.v[alive]].tolist()
+        return set(us) | set(vs), set(zip(us, vs))
 
     def keyword_truss(self, query: Iterable[str], k: int) -> KeywordTruss:
         """T_k(G_Q): the maximal k-truss of the subgraph induced by the
@@ -272,7 +320,9 @@ class LocalGraph:
         restricted to V_Q. T_k(G_Q) is a k-truss subgraph of G, so it lies
         in T_k(G); hence T_k(G_Q) = T_k(T_k(G)[V_Q]), and the edges of G_Q
         outside T_k(G) are never counted. T_k(G) is peeled on the first
-        call at k and kept in ``_trusses``.
+        call at k and kept in ``_trusses``. The peel is :func:`_batch_peel`
+        on edge masks over :meth:`triangle_index`, and the neighbour map and
+        components are built from the edges it keeps.
 
         Every seed community of (``query``, k) is a k-truss inside G_Q, so
         its edges all lie in T_k(G_Q); it has radius ≤ r over its own edges,
@@ -284,7 +334,9 @@ class LocalGraph:
         :meth:`seed_community` skips the keyword test, and returns a
         component without peeling when its candidate BFS covers one.
         """
-        nbr = self._truss_nbr(self.holding(query), k, self.truss(k))
+        tri = self.triangle_index()
+        start = self._truss(k)[0] & self._edge_mask(self.holding(query))
+        nbr = _nbr_of(tri, _batch_peel(tri.triangles, start, k))
         components: Dict[int, FrozenSet[int]] = {}
         for v in nbr:
             if v not in components:
@@ -300,11 +352,19 @@ class LocalGraph:
 
     def truss(self, k: int) -> Dict[int, Set[int]]:
         """Neighbour map of T_k(G), the full graph's maximal k-truss, peeled
-        on the first call at k and kept in ``_trusses``."""
-        nbr = self._trusses.get(k)
-        if nbr is None:
-            nbr = self._trusses[k] = self._truss_nbr(set(self.adj), k)
-        return nbr
+        by :func:`_batch_peel` on the first call at k and kept in
+        ``_trusses``."""
+        return self._truss(k)[1]
+
+    def _truss(self, k: int) -> Tuple[np.ndarray, Dict[int, Set[int]]]:
+        """T_k(G) as its edge mask over :meth:`triangle_index` and its
+        neighbour map."""
+        kept = self._trusses.get(k)
+        if kept is None:
+            tri = self.triangle_index()
+            alive = _batch_peel(tri.triangles, np.ones(len(tri.u), bool), k)
+            kept = self._trusses[k] = (alive, _nbr_of(tri, alive))
+        return kept
 
     def truss_ball(self, center: int, k: int, r: int) -> FrozenSet[int]:
         """B_r(center): the vertices within r hops of ``center``, a vertex
@@ -542,6 +602,52 @@ def _ball(nbr: Dict[int, Set[int]], center: int, r: int) -> Set[int]:
     return reached
 
 
+def _batch_peel(triangles: np.ndarray, alive: np.ndarray, k: int) -> np.ndarray:
+    """The maximal k-truss of the edges ``alive``, a boolean mask over the
+    edge ids that ``triangles`` (a (3, T) array, as in
+    :class:`TriangleIndex`) refers to, as a new mask.
+
+    Peeled in batches: the support of every edge is the ``np.bincount``
+    of the triangles whose three edges are alive, every alive edge below
+    k-2 leaves at once, and that repeats until none leaves (Wang & Cheng,
+    VLDB 2012). Support only falls as edges leave, so no edge of the
+    maximal k-truss ever falls below k-2 and none leaves; the edges left
+    form a k-truss, so they are the maximal one. Below k = 3 every edge
+    stays.
+    """
+    alive = alive.copy()
+    need = k - 2
+    if need <= 0:
+        return alive
+    ok = alive[triangles]
+    live = triangles.compress(ok[0] & ok[1] & ok[2], axis=1)
+    while True:
+        weak = np.bincount(live.ravel(), minlength=alive.size) < need
+        weak &= alive
+        if not np.count_nonzero(weak):
+            return alive
+        alive ^= weak
+        hit = weak[live]
+        live = live.compress(~(hit[0] | hit[1] | hit[2]), axis=1)
+
+
+def _nbr_of(tri: TriangleIndex, alive: np.ndarray) -> Dict[int, Set[int]]:
+    """Neighbour map of the edges ``alive``, a mask over ``tri``'s edge
+    ids; its vertices are the ends of those edges."""
+    ids = np.flatnonzero(alive)
+    nbr: Dict[int, Set[int]] = {}
+    for u, v in zip(tri.vertex[tri.u[ids]].tolist(), tri.vertex[tri.v[ids]].tolist()):
+        if u in nbr:
+            nbr[u].add(v)
+        else:
+            nbr[u] = {v}
+        if v in nbr:
+            nbr[v].add(u)
+        else:
+            nbr[v] = {u}
+    return nbr
+
+
 def _cut_core(nbr: Dict[int, Set[int]], k: int) -> None:
     """Cut from the neighbour map ``nbr``, in place, every vertex of degree
     < k with its edges, cascading: what is left is the maximal k-core."""
@@ -557,7 +663,8 @@ def _cut_core(nbr: Dict[int, Set[int]], k: int) -> None:
 
 
 class _Peel:
-    """Queue-based k-truss peel over a neighbour map, edited in place.
+    """Queue-based k-truss peel of a center's ball, over a neighbour map
+    edited in place (:meth:`LocalGraph.seed_community`).
 
     The peel first cuts the maximal (k-1)-core (:func:`_cut_core`): a
     vertex with an edge (u, v) in a k-truss has v and the edge's k-2 common
@@ -572,19 +679,19 @@ class _Peel:
     the standard truss decomposition (Cohen 2008; Wang & Cheng, VLDB 2012).
     :meth:`drop` removes vertices outright (the radius cut in
     :meth:`LocalGraph.seed_community`) and resumes the peel on the same
-    counts.
+    counts. Unlike :func:`_batch_peel`, which costs O(|E| + #triangles)
+    per call, it stops as soon as the center has no edge left, and the
+    radius cut reuses its counts.
     """
 
-    def __init__(
-        self, nbr: Dict[int, Set[int]], k: int, center: Optional[int] = None
-    ) -> None:
+    def __init__(self, nbr: Dict[int, Set[int]], k: int, center: int) -> None:
         self.nbr = nbr
         self.need = max(k - 2, 0)
         self.center = center
         self.sup: Dict[Tuple[int, int], int] = {}
         self.queue: List[Tuple[int, int]] = []
         _cut_core(nbr, self.need + 1)
-        if center is not None and center not in nbr:
+        if center not in nbr:
             return
         for u, nu in nbr.items():
             for v in nu:
@@ -596,7 +703,7 @@ class _Peel:
 
     def run(self) -> bool:
         """Remove every queued edge and peel to the k-truss. False as soon
-        as the center (if any) has no edge left."""
+        as the center has no edge left."""
         nbr, sup, queue, center = self.nbr, self.sup, self.queue, self.center
         low = self.need - 1
         while queue:
@@ -615,7 +722,7 @@ class _Peel:
             if (u == center or v == center) and not nbr[center]:
                 queue.clear()
                 return False
-        return center is None or bool(nbr.get(center))
+        return bool(nbr.get(center))
 
     def drop(self, vertices: List[int]) -> bool:
         """Remove ``vertices`` with their edges and resume the peel."""

@@ -11,6 +11,7 @@ import pandas as pd
 import pytest
 
 from repro.graph import generators as gen
+from repro.graph import local as local_module
 from repro.graph.local import LocalGraph, _Peel
 
 
@@ -61,17 +62,32 @@ def builds(monkeypatch):
 
 @pytest.fixture
 def peels(monkeypatch):
-    """Centers of the k-truss peels (``_Peel``) built during the test, in
-    call order; None for a peel without a center."""
+    """Centers of the ball peels (``_Peel``) built during the test, in call
+    order."""
     started = []
     init = _Peel.__init__
 
-    def counting(self, nbr, k, center=None):
+    def counting(self, nbr, k, center):
         started.append(center)
         init(self, nbr, k, center)
 
     monkeypatch.setattr(_Peel, "__init__", counting)
     return started
+
+
+@pytest.fixture
+def batch_peels(monkeypatch):
+    """The k of every batch peel (``_batch_peel``: ``truss``, ``ktruss`` and
+    ``keyword_truss``) run during the test, in call order."""
+    ks = []
+    peel = local_module._batch_peel
+
+    def counting(triangles, alive, k):
+        ks.append(k)
+        return peel(triangles, alive, k)
+
+    monkeypatch.setattr(local_module, "_batch_peel", counting)
+    return ks
 
 
 @pytest.fixture(scope="session")

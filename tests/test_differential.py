@@ -24,6 +24,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core import diversify
 from repro.core.baseline import atindex_offline, atindex_query
 from repro.core.index import build_index
 from repro.core.keywords import bv_of
@@ -76,6 +77,34 @@ def test_three_methods_agree(prep, qseed):
         atindex = atindex_query(prep.local, vtruss, q)
         assert sigmas(fast) == sigmas(brute) == sigmas(atindex), q
         assert [c.vertices for c in brute] == [c.vertices for c in atindex], q
+
+
+def test_reported_centers_extract_their_sets(prep, monkeypatch):
+    """Every community reported by ``topl_icde``, the pool ``dtopl_icde``
+    selects from, ``brute_force_topl`` and ``atindex_query`` is the seed
+    community that the full graph extracts at its reported center."""
+    prep, vtruss = prep
+    pools = []
+    select = diversify.greedy_wp
+
+    def recording(candidates, L, stats=None):
+        pools.append(list(candidates))
+        return select(candidates, L, stats)
+
+    monkeypatch.setattr(diversify, "greedy_wp", recording)
+    local, checked = prep.local, 0
+    for q in random_queries(QUERIES_PER_SEED, 0):
+        diversify.dtopl_icde(local, prep.index, q, prep.pre.thetas, n=2)
+        for answer in (
+            topl_icde(local, prep.index, q, prep.pre.thetas),
+            pools.pop(),
+            brute_force_topl(local, q),
+            atindex_query(local, vtruss, q),
+        ):
+            for c in answer:
+                assert local.seed_community(c.center, q.r, q.k, q.keywords) == c.vertices, (q, c.center)
+                checked += 1
+    assert checked
 
 
 def truss_centers_pass_row_tests(pre, local, queries) -> int:

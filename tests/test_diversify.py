@@ -402,7 +402,7 @@ class TestCppMemo:
             assert topl_icde(g, index, self.Q, P.THETAS)
             assert brute_force_topl(g, self.Q)
             assert atindex_query(g, vertex_trussness(g), self.Q)
-            assert g.sigma_memo and g.cpp_memo == {} and g._positions == {}
+            assert g.sigma_memo and g.cpp_memo == {}
 
     def test_repeated_dtopl_makes_no_influence_call(self, driver_graphs, monkeypatch):
         """The first query computes every pool member's influenced community

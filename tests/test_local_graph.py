@@ -107,6 +107,29 @@ def edges_of(nbr):
     return {(u, v) for u, nu in nbr.items() for v in nu if u < v}
 
 
+def truss_oracle(adj, vset, k):
+    """The canonical edges of the maximal k-truss of the subgraph induced by
+    ``vset`` in the neighbour map ``adj``, as a naive fixpoint: recount
+    every edge's support (``induced_support`` on a snapshot of the edges
+    left) and remove each edge below k − 2, until none is."""
+    edges = {(u, v) for u in vset for v in adj[u] & vset if u < v}
+    while True:
+        nbr = {}
+        for u, v in edges:
+            nbr.setdefault(u, set()).add(v)
+            nbr.setdefault(v, set()).add(u)
+        support = LocalGraph(nbr, {}, {}, {}).induced_support(set(nbr))
+        weak = {e for e, s in support.items() if s < k - 2}
+        if not weak:
+            return edges
+        edges -= weak
+
+
+def ends(edges):
+    """The vertices with an edge in ``edges``."""
+    return {x for e in edges for x in e}
+
+
 def truss_graph(g: LocalGraph, truss) -> LocalGraph:
     """A snapshot whose edges are the keyword truss's, with ``g``'s
     influence edges and keywords."""
@@ -444,7 +467,7 @@ class TestInfluenceMemo:
         memos = [f.name for f in fields]
         assert {
             "_arbo", "sigma_memo", "cpp_memo", "_positions", "_order",
-            "_support", "_holders", "_trusses", "ball_memo",
+            "_support", "_holders", "_triangles", "_trusses", "ball_memo",
         } <= set(memos)
         assert not any(f.init for f in fields)
         warm = {name: getattr(g, name) for name in memos}
@@ -607,6 +630,86 @@ class TestSeedCommunity:
             break
 
 
+def random_graph(rng, n_max=40):
+    """A random graph on 0..n-1 (some vertices isolated) with keywords
+    drawn from kw0..kw5."""
+    n = rng.randint(6, n_max)
+    p = rng.uniform(0.1, 0.6)
+    edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+    kws = {v: rng.sample([f"kw{i}" for i in range(6)], rng.randint(1, 2)) for v in range(n)}
+    return make_local(edges, n=n, keywords=kws)
+
+
+class TestBatchPeel:
+    """The batch peel behind ``truss``, ``ktruss`` and ``keyword_truss``
+    against the naive fixpoint ``truss_oracle``."""
+
+    def test_triangle_index_lists_each_triangle_once(self):
+        rng = random.Random(83)
+        for _ in range(6):
+            g = random_graph(rng)
+            tri = g.triangle_index()
+            edge = list(zip(tri.vertex[tri.u].tolist(), tri.vertex[tri.v].tolist()))
+            assert sorted(edge) == sorted(g.undirected_edges())
+            got = [frozenset(ends(edge[e] for e in col)) for col in tri.triangles.T.tolist()]
+            want = {
+                frozenset(t)
+                for t in itertools.combinations(sorted(g.adj), 3)
+                if all(b in g.adj[a] for a, b in itertools.combinations(t, 2))
+            }
+            assert len(got) == len(want) and set(got) == want
+
+    def test_matches_the_naive_fixpoint(self):
+        """Random graphs, random vertex sets and k in 2..6: ``ktruss`` on
+        the set, ``truss`` on the whole graph and ``keyword_truss`` on
+        V_Q, with its components, all equal the fixpoint."""
+        rng = random.Random(79)
+        peeled = 0
+        for _ in range(10):
+            g = random_graph(rng)
+            for k in range(2, 7):
+                vset = {v for v in g.adj if rng.random() < 0.7}
+                want = truss_oracle(g.adj, vset, k)
+                assert g.ktruss(vset, k) == (ends(want), want), k
+                whole = truss_oracle(g.adj, set(g.adj), k)
+                assert (set(g.truss(k)), edges_of(g.truss(k))) == (ends(whole), whole), k
+                query = set(rng.sample([f"kw{i}" for i in range(6)], rng.randint(1, 3)))
+                truss = g.keyword_truss(query, k)
+                want = truss_oracle(g.adj, g.holding(query), k)
+                assert (set(truss.adj), edges_of(truss.adj)) == (ends(want), want), k
+                comps = nx.connected_components(nx.Graph(list(want)))
+                assert set(truss.components.values()) == {frozenset(c) for c in comps}, k
+                peeled += len(want) < len(truss_oracle(g.adj, g.holding(query), 2))
+        assert peeled, "no draw removed an edge"
+
+    def test_triangle_free_graph(self):
+        """A 6-ring with a pendant path: every edge survives at k = 2 and
+        none from k = 3 on."""
+        g = make_local(RING6 + [(5, 6), (6, 7)])
+        for k in range(2, 7):
+            vs, es = g.ktruss(set(g.adj), k)
+            assert (vs, es) == ((set(g.adj), set(g.undirected_edges())) if k == 2 else (set(), set()))
+            assert edges_of(g.truss(k)) == es and edges_of(g.keyword_truss({"kw0"}, k).adj) == es
+
+    def test_empty_vertex_set_and_isolated_vertices(self):
+        """An empty V_Q, a set of isolated vertices, or a set whose induced
+        subgraph has no edge gives no vertex at any k; at k = 2 every edge
+        inside the set survives and its edgeless vertices drop."""
+        kws = {v: ["kw0"] for v in range(8)}
+        kws.update({5: ["kw1"], 6: ["kw2"], 7: ["kw2"]})
+        g = make_local(K4_EDGES + [(3, 4), (4, 5)], n=8, keywords=kws)
+        assert not g.adj[6] and not g.adj[7]
+        for k in range(2, 7):
+            for vset in (set(), {6, 7}, {0, 5, 6}):
+                assert g.ktruss(vset, k) == (set(), set()), (vset, k)
+            for query in (set(), {"kw9"}, {"kw2"}):
+                truss = g.keyword_truss(query, k)
+                assert truss.adj == {} and truss.components == {}, (query, k)
+        vs, es = g.ktruss({0, 1, 3, 4, 6, 7}, 2)
+        assert es == {(0, 1), (0, 3), (1, 3), (3, 4)} and vs == {0, 1, 3, 4}
+        assert set(g.keyword_truss({"kw0", "kw2"}, 2).adj) == {0, 1, 2, 3, 4}
+
+
 class TestKeywordTruss:
     """Extraction given the keyword truss T_k(G_Q) is exactly what the full
     graph extracts."""
@@ -648,18 +751,19 @@ class TestKeywordTruss:
             assert cut > 0, "the truss never cut a surviving center's adjacency"
             assert paths["component"] and paths["ring"], f"extraction paths: {paths}"
 
-    def test_component_shortcut_on_a_chain_of_triangles(self, peels):
+    def test_component_shortcut_on_a_chain_of_triangles(self, peels, batch_peels):
         """Triangles 0-1-2, 2-3-4 and 4-5-6 form a chain; triangle 7-8-9
         stands alone. At k = 3, r = 1 the ball of 7 is its whole component;
         the ball of 2 is not, but its ring edges 0-1 and 3-4 keep their
         triangles through 2 (ring test). Neither peels, and both extract
         what the full graph extracts; at another k the truss raises and the
-        full graph peels as usual."""
+        full graph peels as usual. The keyword truss itself is two batch
+        peels (T_3(G), then T_3(G_Q)) and no ball peel."""
         chain = [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4), (4, 5), (4, 6), (5, 6)]
         g = make_local(chain + [(7, 8), (7, 9), (8, 9)])
         q = {"kw0"}
         truss = g.keyword_truss(q, 3)
-        peels.clear()
+        assert peels == [] and batch_peels == [3, 3]
         assert g.seed_community(7, 1, 3, q, truss) == frozenset({7, 8, 9})
         assert g.seed_community(2, 1, 3, q, truss) == frozenset(range(5))
         assert peels == []
@@ -673,7 +777,7 @@ class TestKeywordTruss:
         assert g.seed_community(7, 1, 4, q) is None
         assert peels == [7]
 
-    def test_ring_test_falls_back_to_the_peel(self, peels):
+    def test_ring_test_falls_back_to_the_peel(self, peels, batch_peels):
         """Octahedron on 0..5 with opposite pairs 0-5, 1-2 and 3-4, at
         k = 4: every edge is in two triangles, so T_k(G_Q) keeps it whole.
         At r = 1 each ring edge of center 0 closes its second triangle
@@ -689,7 +793,7 @@ class TestKeywordTruss:
         q = {"kw0"}
         truss = g.keyword_truss(q, 4)
         assert edges_of(truss.adj) == set(octahedron)
-        peels.clear()
+        assert peels == [] and batch_peels == [4, 4]
         assert g.seed_community(0, 1, 4, q, truss) is None
         assert peels == [0]
         assert g.seed_community(0, 1, 4, q) is None
@@ -748,24 +852,31 @@ class TestKeywordTruss:
         assert g.seed_community(0, 2, 3, {"kw1"}, truss) == frozenset(range(4))
         assert g.seed_community(0, 2, 3, {"kw1"}) == frozenset(range(4))
 
-    def test_graph_truss_peeled_once_per_k(self, local_medium, peels):
+    def test_graph_truss_peeled_once_per_k(self, local_medium, peels, batch_peels):
         """T_k(G) is peeled on the first keyword truss at k and read by
-        every later one: a first keyword truss at k builds two peels
-        (T_k(G), then T_k(G_Q) inside it), a later one one. The kept T_k(G)
-        is the graph's maximal k-truss."""
+        every later one: a first keyword truss at k runs two batch peels
+        (T_k(G), then T_k(G_Q) inside it), a later one one, and neither
+        builds a ball peel. The kept T_k(G), its edge mask and its
+        neighbour map, is the graph's maximal k-truss as the naive fixpoint
+        finds it."""
         g = fresh(local_medium)
         rng = random.Random(67)
         vocab = sorted({w for kws in g.keywords.values() for w in kws})
         asked = set()
         for k in (3, 4, 3, 5, 4, 3, 5):
-            peels.clear()
+            batch_peels.clear()
             g.keyword_truss(set(rng.sample(vocab, rng.randint(2, 6))), k)
-            assert peels == [None] if k in asked else [None, None], k
+            assert batch_peels == [k] if k in asked else [k, k], k
             asked.add(k)
+        assert peels == []
         assert set(g._trusses) == asked
+        tri = g.triangle_index()
         for k in asked:
-            truss = g._trusses[k]
-            assert (set(truss), edges_of(truss)) == g.ktruss(set(g.adj), k), k
+            mask, nbr = g._trusses[k]
+            want = truss_oracle(g.adj, set(g.adj), k)
+            assert (set(nbr), edges_of(nbr)) == (ends(want), want), k
+            kept = zip(tri.vertex[tri.u[mask]].tolist(), tri.vertex[tri.v[mask]].tolist())
+            assert set(kept) == want, k
 
     def test_holding_equals_the_keyword_scan(self, generated_graphs):
         """V_Q read from the keyword map is the scan over every vertex,
